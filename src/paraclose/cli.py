@@ -79,6 +79,8 @@ def _load(path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputFormatError(f"{path}: not valid JSON: {e}") from None
+    except RecursionError:
+        raise InputFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(args, text):
@@ -95,14 +97,15 @@ def _emit_json(args, obj):
     _emit(args, json.dumps(obj, indent=2))
 
 
-def _check_oracle(args, poset, got):
+def _check_oracle(args, n, build_poset, got):
+    """Compare got with brute force over the n-element order that
+    build_poset() returns; the order is built only when the oracle runs."""
     if not args.check_oracle:
         return
-    n = len(poset.ids)
     if n > args.oracle_limit:
         print(f"oracle: SKIPPED (n={n} above limit {args.oracle_limit})", file=sys.stderr)
         return
-    want = brute_polygon(poset, limit=args.oracle_limit, track=False)
+    want = brute_polygon(build_poset(), limit=args.oracle_limit, track=False)
     if want.vertices == got.vertices:
         print("oracle: MATCH", file=sys.stderr)
         return
@@ -118,8 +121,8 @@ def _check_oracle(args, poset, got):
     )
 
 
-def _polygon_out(args, poset, poly):
-    _check_oracle(args, poset, poly)
+def _polygon_out(args, n, build_poset, poly):
+    _check_oracle(args, n, build_poset, poly)
     _emit_json(args, poly.to_json(include_witnesses=not args.no_witness))
 
 
@@ -133,7 +136,7 @@ def _cmd_oracle(args):
 def _cmd_semiorder(args):
     s = Semiorder.from_json(_load(args.input))
     poly = solve_semiorder(s, track=not args.no_witness)
-    _polygon_out(args, s.to_poset(), poly)
+    _polygon_out(args, len(s), s.to_poset, poly)
     return 0
 
 
@@ -144,7 +147,7 @@ def _cmd_sp(args):
     else:
         t = parse_sp(data)
     poly = solve_sp(t, track=not args.no_witness)
-    _polygon_out(args, sp_to_poset(t) if args.check_oracle else None, poly)
+    _polygon_out(args, t.count, lambda: sp_to_poset(t), poly)
     return 0
 
 
@@ -154,7 +157,7 @@ def _cmd_treewidth(args):
     if args.decomposition:
         decomp = TreeDecomposition.from_json(_load(args.decomposition))
     poly = solve_treewidth(poset, decomp, track=not args.no_witness)
-    _polygon_out(args, poset, poly)
+    _polygon_out(args, len(poset), lambda: poset, poly)
     return 0
 
 
@@ -166,7 +169,7 @@ def _cmd_width2(args):
         if e.witness:
             print("width-w sketch unsupported for w >= 3", file=sys.stderr)
         raise
-    _polygon_out(args, poset, poly)
+    _polygon_out(args, len(poset), lambda: poset, poly)
     return 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from operator import itemgetter
 
+from .errors import InputFormatError
 from .witness import wleaf, wunion
 
 
@@ -142,11 +143,26 @@ class Polygon:
     @classmethod
     def from_json(cls, data):
         """Read a polygon written by to_json; the one constructor path for
-        untrusted data, so coordinates are coerced to int pairs here."""
-        verts = [(int(x), int(y)) for x, y in data["vertices"]]
-        wit = None
-        if data.get("witnesses") is not None:
-            wit = [wleaf(frozenset(s)) for s in data["witnesses"]]
+        untrusted data, so its shape and integer coordinates are checked here."""
+        if not isinstance(data, dict) or not isinstance(data.get("vertices"), (list, tuple)):
+            raise InputFormatError('expected an object with a "vertices" list')
+        verts = []
+        for v in data["vertices"]:
+            if (
+                not isinstance(v, (list, tuple))
+                or len(v) != 2
+                or not all(isinstance(c, int) and not isinstance(c, bool) for c in v)
+            ):
+                raise InputFormatError(f"vertex must be a pair of integers, got {v!r}")
+            verts.append((v[0], v[1]))
+        wit = data.get("witnesses")
+        if wit is not None:
+            if not isinstance(wit, list) or len(wit) != len(verts):
+                raise InputFormatError('"witnesses" must be a list with one entry per vertex')
+            try:
+                wit = [wleaf(frozenset(s)) for s in wit]
+            except TypeError:
+                raise InputFormatError("each witness must be a list of element ids") from None
         return cls(verts, wit)
 
 

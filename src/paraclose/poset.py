@@ -81,12 +81,12 @@ class Poset:
         if len(order) != n:
             raise InputFormatError("relations contain a cycle; not a partial order")
         above = [0] * n
-        for v in range(n):
-            rest = below[v]
+        for u in reversed(order):
+            rest = succ[u]
             while rest:
-                u = (rest & -rest).bit_length() - 1
+                v = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                above[u] |= 1 << v
+                above[u] |= above[v] | (1 << v)
         self.below = below
         self.above = above
         self._topo = order

@@ -1,6 +1,13 @@
 """Orders of width at most two via a two-chain grid of lower sets.
 
-Split the elements into two chains; every lower set is then a pair of
+The two chains come from 2-colouring the incomparability graph, built on
+the fly from the order's closure bitmasks. An order of width at most two
+has no three-element antichain, so that graph has no triangle; it is
+perfect, so it is bipartite, and each colour class is a chain. A failed
+colouring yields an odd cycle, whose elements hold a three-element
+antichain. The work is O(n^2 / 64) machine words of mask operations.
+
+With the elements split into two chains, every lower set is a pair of
 chain prefixes, so lower sets become points (x, y) of an integer grid,
 and the feasible points form a staircase-bounded, orthogonally convex
 region. A quadtree carves that region into maximal fully feasible
@@ -16,8 +23,6 @@ prefix values never carries more than k + 1 hull vertices.
 """
 
 from __future__ import annotations
-
-import sys
 
 from .errors import StructureError
 from .polygon import hull_of_points, hull_union, minkowski_sum, point
@@ -47,85 +52,91 @@ class ChainDecomposition:
                 self.position[e] = (num, k)
 
 
-def _kuhn_matching(n, succ):
-    """Maximum bipartite matching between elements and their strict
-    successors. Returns mate_of_right: index -> matched left index."""
-    mate = {}
-
-    def try_grow(u, seen):
-        for v in succ[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in mate or try_grow(mate[v], seen):
-                mate[v] = u
-                return True
-        return False
-
-    # alternating paths can touch every element once
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 3 * n + 100))
-    try:
-        for u in range(n):
-            try_grow(u, set())
-    finally:
-        sys.setrecursionlimit(limit)
-    return mate
-
-
 def chain_partition_width2(poset) -> ChainDecomposition:
-    """Partition into two chains (minimum path cover over the strict-order
-    relation). Raises StructureError carrying a three-element antichain
-    when no such partition exists."""
+    """Partition into two chains by 2-colouring the incomparability graph.
+
+    The graph joins u and v when neither is below the other; one BFS over
+    it colours by level parity, each step a few big-int mask operations
+    on the closure masks. A colour class holds no incomparable pair, so
+    it is a chain, and elements in different components are comparable,
+    so the classes join across components into two chains, each listed
+    in topological order.
+
+    A same-colour edge closes an odd cycle. Incomparability graphs are
+    perfect, so a shortest odd cycle is a triangle: a three-element
+    antichain, raised as the witness of a StructureError."""
     n = len(poset.ids)
-    succ = []
-    for u in range(n):
-        rest = poset.above[u]
-        out = []
-        while rest:
-            out.append((rest & -rest).bit_length() - 1)
-            rest &= rest - 1
-        succ.append(out)
-    mate = _kuhn_matching(n, succ)
-    if n - len(mate) > 2:
-        raise StructureError(
-            "order has width above two",
-            witness=_antichain_witness(n, succ, mate, poset),
-        )
-    nxt = {}
-    for v, u in mate.items():
-        nxt[u] = v
-    chains = []
-    for start in range(n):
-        if start in mate:
+    full = (1 << n) - 1
+    colour = [0] * n
+    parent = [-1] * n
+    side = [0, 0]
+    unseen = full
+    for start in poset._topo:
+        if not unseen >> start & 1:
             continue
-        path = [start]
-        while path[-1] in nxt:
-            path.append(nxt[path[-1]])
-        chains.append([poset.ids[v] for v in path])
-    while len(chains) < 2:
-        chains.append([])
-    return ChainDecomposition(chains[0], chains[1])
+        unseen ^= 1 << start
+        side[0] |= 1 << start
+        queue = [start]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            c = colour[v]
+            inc = _incomparable(poset, v, full)
+            clash = inc & side[c]
+            if clash:
+                u = (clash & -clash).bit_length() - 1
+                raise StructureError(
+                    "order has width above two",
+                    witness=_antichain_witness(poset, _odd_cycle(parent, u, v)),
+                )
+            new = inc & unseen
+            unseen ^= new
+            side[1 - c] |= new
+            while new:
+                u = (new & -new).bit_length() - 1
+                new &= new - 1
+                colour[u] = 1 - c
+                parent[u] = v
+                queue.append(u)
+    chains = ([], [])
+    for v in poset._topo:
+        chains[colour[v]].append(poset.ids[v])
+    return ChainDecomposition(*chains)
 
 
-def _antichain_witness(n, succ, mate, poset):
-    # Koenig: a minimum vertex cover leaves at least three elements with
-    # neither copy covered, and no strict-order edge joins two of those.
-    matched_left = set(mate.values())
-    zl = set(u for u in range(n) if u not in matched_left)
-    zr = set()
-    queue = list(zl)
-    while queue:
-        u = queue.pop()
-        for v in succ[u]:
-            if v not in zr:
-                zr.add(v)
-                w = mate.get(v)
-                if w is not None and w not in zl:
-                    zl.add(w)
-                    queue.append(w)
-    free = [poset.ids[u] for u in sorted(zl - zr)]
-    return tuple(free[:3])
+def _incomparable(poset, v, full):
+    return full ^ (poset.below[v] | poset.above[v] | 1 << v)
+
+
+def _odd_cycle(parent, u, v):
+    # same colour means same BFS level, so the tree paths up from u and v
+    # meet at one ancestor and the edge u-v closes an odd cycle
+    left, right = [u], [v]
+    while left[-1] != right[-1]:
+        left.append(parent[left[-1]])
+        right.append(parent[right[-1]])
+    return left + right[-2::-1]
+
+
+def _antichain_witness(poset, cycle):
+    # The cycle's elements induce a perfect graph holding an odd cycle,
+    # hence a triangle; one mask intersection per incomparable pair finds it.
+    full = (1 << len(poset.ids)) - 1
+    on_cycle = 0
+    for v in cycle:
+        on_cycle |= 1 << v
+    for x in cycle:
+        near = _incomparable(poset, x, full) & on_cycle
+        rest = near
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            common = near & _incomparable(poset, y, full)
+            if common:
+                z = (common & -common).bit_length() - 1
+                return tuple(poset.ids[v] for v in sorted((x, y, z)))
+    raise AssertionError("odd cycle of incomparable elements without a triangle")
 
 
 class GridRegion:

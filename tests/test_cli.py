@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paraclose
 from paraclose import cli
 from paraclose.polygon import Polygon, point
 from paraclose.poset import Poset, brute_polygon
+from paraclose.semiorder import Semiorder
 
 POSET = {
     "elements": [
@@ -184,3 +190,50 @@ def test_out_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text())["vertices"]
+
+
+def test_semiorder_builds_its_order_only_for_the_oracle(tmp_path, capsys, monkeypatch):
+    _, out, _ = _run(capsys, "gen", "--class", "semiorder", "--n", "7", "--seed", "2")
+    path = tmp_path / "s.json"
+    path.write_text(out)
+    built = []
+    to_poset = Semiorder.to_poset
+    monkeypatch.setattr(Semiorder, "to_poset", lambda s: built.append(len(s)) or to_poset(s))
+    rc, _, _ = _run(capsys, "semiorder", str(path))
+    assert rc == 0 and built == []
+    rc, _, err = _run(capsys, "semiorder", str(path), "--check-oracle", "--oracle-limit", "5")
+    assert rc == 0 and built == []
+    assert "oracle: SKIPPED (n=7 above limit 5)" in err
+    rc, _, err = _run(capsys, "semiorder", str(path), "--check-oracle")
+    assert rc == 0 and built == [7]
+    assert "oracle: MATCH" in err
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    # json.loads gives up on deep nesting with a RecursionError; the CLI
+    # must report it on its error path, in a fresh process, no traceback
+    depth = 5000
+    leaf = '{"leaf": {"id": "x%d", "weight": [1, 2]}}'
+    path = tmp_path / "deep.json"
+    path.write_text(
+        "".join('{"series": [%s, ' % (leaf % i) for i in range(depth))
+        + leaf % depth
+        + "]}" * depth
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(paraclose.__file__).resolve().parents[1]))
+    p = subprocess.run(
+        [sys.executable, "-m", "paraclose.cli", "sp", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert p.stderr.startswith("error:") and "nested too deeply" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+def test_profile_rejects_non_integer_coordinates(tmp_path, capsys):
+    path = _write(tmp_path, "poly.json", {"vertices": [[0, 0], [1.5, 2.7]]})
+    rc, out, err = _run(capsys, "profile", path)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "[1.5, 2.7]" in err

@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_polygon, slow_hull, slow_minkowski, slow_union, slow_zonotope
+from paraclose.errors import InputFormatError
 from paraclose.polygon import (
     EMPTY_POLYGON,
     Polygon,
@@ -178,3 +180,19 @@ def test_json_roundtrip():
     assert d["vertices"] == [[0, 0], [3, 1], [1, 3]]
     back = Polygon.from_json(d)
     assert back == p and back.witness_sets() == p.witness_sets()
+
+
+def test_from_json_rejects_non_integer_coordinates():
+    for bad in ([1.5, 2.7], [1, 2.0], [True, 0], ["1", 2], [1], [1, 2, 3], 7):
+        with pytest.raises(InputFormatError):
+            Polygon.from_json({"vertices": [[0, 0], bad]})
+    for bad in (None, [], {"vertices": 3}, {"points": [[0, 0]]}):
+        with pytest.raises(InputFormatError):
+            Polygon.from_json(bad)
+    with pytest.raises(InputFormatError):
+        Polygon.from_json({"vertices": [[0, 0], [1, 2]], "witnesses": [["a"]]})
+    with pytest.raises(InputFormatError):
+        Polygon.from_json({"vertices": [[0, 0]], "witnesses": [5]})
+    got = Polygon.from_json({"vertices": [[0, 0], [1, 2]], "witnesses": [[], ["a"]]})
+    assert got.vertices == ((0, 0), (1, 2))
+    assert got.witness_sets() == [frozenset(), frozenset({"a"})]

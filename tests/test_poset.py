@@ -46,6 +46,28 @@ def test_transitive_closure_and_covers():
     assert cov == {("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")}
 
 
+def test_closure_masks_match_reachability():
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(0, 12)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        pairs = [(ids[i], ids[j]) for i, j in combinations(range(n), 2) if rng.random() < 0.25]
+        p = Poset(ids, [(0, 0)] * n, pairs)
+        reach = {u: set() for u in ids}
+        for u, v in pairs:
+            reach[u].add(v)
+        for w in ids:  # Warshall
+            for u in ids:
+                if w in reach[u]:
+                    reach[u] |= reach[w]
+        for a in ids:
+            for b in ids:
+                i, j = p.index[a], p.index[b]
+                assert bool(p.below[j] >> i & 1) == (b in reach[a])
+                assert bool(p.above[i] >> j & 1) == (b in reach[a])
+
+
 def test_lower_set_counts():
     chain = Poset("abcd", [(0, 0)] * 4, [("a", "b"), ("b", "c"), ("c", "d")])
     assert sum(1 for _ in chain.lower_sets()) == 5

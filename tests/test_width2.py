@@ -1,5 +1,8 @@
+import itertools
 import math
 import random
+import sys
+import time
 
 import pytest
 
@@ -274,3 +277,56 @@ def test_square_population_stays_linear():
     assert perimeter <= 40 * size * max(1, math.log2(size))
     got = solve_width2_chains(p, ch, track=False)
     assert len(got.vertices) >= 3
+
+
+def _random_order(rng, n):
+    """Random order of any width: a random DAG over a shuffled index order."""
+    ids = [f"e{i}" for i in range(n)]
+    rng.shuffle(ids)
+    density = rng.random()
+    pairs = [
+        (ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+    ]
+    return Poset(ids, [(1, 1)] * n, pairs)
+
+
+def _is_antichain(p, elems):
+    return all(not p.less(u, v) and not p.less(v, u) for u, v in itertools.combinations(elems, 2))
+
+
+def test_partition_decides_width_exactly():
+    rng = random.Random(67)
+    outcomes = set()
+    for trial in range(600):
+        p = _random_order(rng, rng.randint(0, 10))
+        wide = any(_is_antichain(p, c) for c in itertools.combinations(p.ids, 3))
+        try:
+            ch = chain_partition_width2(p)
+        except StructureError as err:
+            assert wide, f"trial {trial}"
+            w = err.witness
+            assert len(set(w)) == 3 and _is_antichain(p, w), f"trial {trial}"
+            outcomes.add("wide")
+            continue
+        assert not wide, f"trial {trial}"
+        for chain in (ch.chain1, ch.chain2):
+            for u, v in zip(chain, chain[1:]):
+                assert p.less(u, v), f"trial {trial}"
+        assert sorted(ch.chain1 + ch.chain2) == sorted(p.ids)
+        outcomes.add("narrow")
+    assert outcomes == {"wide", "narrow"}
+
+
+def test_large_partition_is_fast_and_leaves_recursion_limit():
+    rng = random.Random(71)
+    p = Poset.from_json(random_width2_poset(rng, 10**4))
+    limit = sys.getrecursionlimit()
+    t0 = time.perf_counter()
+    ch = chain_partition_width2(p)
+    elapsed = time.perf_counter() - t0
+    # about 0.06 s on a 2-vCPU VM with Python 3.11
+    assert elapsed < 2.0, f"partition took {elapsed:.2f} s"
+    assert len(ch.chain1) + len(ch.chain2) == 10**4
+    got = solve_width2(p, track=False)
+    assert sys.getrecursionlimit() == limit
+    assert is_canonical(got)
