@@ -43,7 +43,7 @@ from .splay import reset_splay_steps, splay_steps
 from .svg import polygon_svg, profile_svg
 from .treewidth import TreeDecomposition, solve_treewidth
 from .width2 import solve_width2
-from .witness import expand
+from .witness import expand_all
 
 log = logging.getLogger("paraclose")
 
@@ -190,7 +190,7 @@ def _cmd_optimize(args):
     value, vertex, wit = maximize_quasiconvex(poly, objective(args.objective))
     out = {"value": rat_str(Fraction(value)), "vertex": list(vertex)}
     if wit is not None:
-        out["witness"] = sorted(expand(wit), key=_id_key)
+        out["witness"] = expand_all([wit], key=_id_key)[0]
     _emit_json(args, out)
     return 0
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputFormatError, ParacloseError
-from .polygon import Polygon
-from .witness import expand
+from .polygon import Polygon, _id_key
+from .witness import expand_all
 
 
 def rat(value):
@@ -60,16 +60,7 @@ class Piece:
         return self.vertex[0] * lam + self.vertex[1]
 
     def to_json(self):
-        out = {
-            "vertex": list(self.vertex),
-            "from": "-inf" if self.lo is None else rat_str(self.lo),
-            "to": "inf" if self.hi is None else rat_str(self.hi),
-        }
-        if self.witness is not None:
-            from .polygon import _id_key
-
-            out["witness"] = sorted(expand(self.witness), key=_id_key)
-        return out
+        return profile_to_json([self])["pieces"][0]
 
 
 def profile(poly: Polygon):
@@ -107,7 +98,20 @@ def optimum_at(pieces, lam):
 
 
 def profile_to_json(pieces):
-    return {"pieces": [p.to_json() for p in pieces]}
+    """JSON of the pieces, their witnesses expanded together as sorted id
+    lists (see witness.expand_all)."""
+    out = []
+    wits = expand_all([p.witness for p in pieces], key=_id_key)
+    for p, wit in zip(pieces, wits):
+        piece = {
+            "vertex": list(p.vertex),
+            "from": "-inf" if p.lo is None else rat_str(p.lo),
+            "to": "inf" if p.hi is None else rat_str(p.hi),
+        }
+        if wit is not None:
+            piece["witness"] = wit
+        out.append(piece)
+    return {"pieces": out}
 
 
 def maximize_quasiconvex(poly: Polygon, fn):

@@ -23,7 +23,7 @@ import functools
 from operator import itemgetter
 
 from .errors import InputFormatError
-from .witness import wleaf, wunion
+from .witness import expand_all, wleaf, wunion
 
 
 def cross(o, a, b):
@@ -106,12 +106,12 @@ class Polygon:
             return Polygon(verts, self.wit)
         return Polygon(verts, tuple(wunion(w, tag) for w in self.wit))
 
-    def witness_sets(self):
-        from .witness import expand
-
+    def witness_sets(self, key=None):
+        """The vertices' witness id sets, expanded together (see
+        witness.expand_all): frozensets, or lists sorted by key if given."""
         if self.wit is None:
             return None
-        return [expand(w) for w in self.wit]
+        return expand_all(self.wit, key)
 
     def contains(self, p):
         """Exact point-in-polygon test (boundary counts as inside)."""
@@ -136,8 +136,7 @@ class Polygon:
     def to_json(self, include_witnesses=True):
         out = {"vertices": [[x, y] for x, y in self.vertices]}
         if include_witnesses and self.wit is not None:
-            sets = self.witness_sets()
-            out["witnesses"] = [sorted(s, key=_id_key) for s in sets]
+            out["witnesses"] = self.witness_sets(key=_id_key)
         return out
 
     @classmethod

@@ -78,6 +78,8 @@ def parse_sp(text):
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise InputFormatError(f"not valid JSON: {e}") from None
+        except RecursionError:
+            raise InputFormatError("JSON nested too deeply") from None
     else:
         data = text
 

@@ -3,11 +3,19 @@
 A witness names the lower set that a polygon vertex came from. Merges combine
 witnesses of existing vertices thousands of times, so witnesses are kept as
 nodes in a shared DAG (leaf = explicit id set, union = disjoint combination)
-and only expanded to a concrete frozenset on demand. Expansion memoizes on
-node identity, so heavily shared DAGs expand in linear time.
+and only expanded to concrete id sets on demand.
+
+All the handles of one polygon (or profile) are expanded together by
+expand_all: one postorder walk over the DAG they share gives every id one bit
+and every node the OR of its children's masks, each node computed once for
+all handles. With N distinct ids that is one N-bit OR per DAG node and one
+N-bit scan per handle, and the sorted id lists fall out of the bit order
+without a sort per handle.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 
 class WLeaf:
@@ -46,23 +54,92 @@ def wunion(a, b):
     return WUnion(a, b)
 
 
+# '0'/'1' digits of bin() to the 0/1 bytes that compress() selects on
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def expand_all(handles, key=None):
+    """Resolve witness handles to the id sets they denote, in one pass.
+
+    With key=None each handle comes back as a frozenset (ids need not be
+    orderable); otherwise as a list sorted by key. None handles come back as
+    None. The DAG under all handles is walked once: every id gets one bit
+    (in key order, or first-seen order without a key), every node the OR of
+    its children's masks, and a node's mask is dropped as soon as the last
+    node or handle that reads it has done so.
+    """
+    handles = list(handles)
+    # refs[id(node)]: parents in the DAG plus handle slots still to read it
+    refs: dict[int, int] = {}
+    post = []  # every node under the handles once, children before parents
+    expanded = set()
+    for h in handles:
+        if h is None:
+            continue
+        refs[id(h)] = refs.get(id(h), 0) + 1
+        stack = [h]
+        while stack:
+            cur = stack.pop()
+            if type(cur) is tuple:  # all of cur[0]'s children are in post
+                post.append(cur[0])
+                continue
+            if id(cur) in expanded:
+                continue
+            expanded.add(id(cur))
+            if type(cur) is WLeaf:
+                post.append(cur)
+                continue
+            stack.append((cur,))
+            for c in (cur.left, cur.right):
+                refs[id(c)] = refs.get(id(c), 0) + 1
+                # pushed again even if already waiting lower in the stack,
+                # so that it is finished before cur
+                if id(c) not in expanded:
+                    stack.append(c)
+
+    leaves = [n for n in post if type(n) is WLeaf]
+    if key is None:
+        ranked = list(dict.fromkeys(x for n in leaves for x in n.ids))
+    else:
+        ranked = sorted({x for n in leaves for x in n.ids}, key=key)
+    rank = {x: i for i, x in enumerate(ranked)}
+
+    masks: dict[int, int] = {}
+    for n in post:
+        if type(n) is WLeaf:
+            masks[id(n)] = _leaf_mask([rank[x] for x in n.ids])
+            continue
+        masks[id(n)] = masks[id(n.left)] | masks[id(n.right)]
+        for c in (id(n.left), id(n.right)):
+            refs[c] -= 1
+            if not refs[c]:
+                del masks[c]
+
+    convert = frozenset if key is None else list
+    out = []
+    for h in handles:
+        if h is None:
+            out.append(None)
+            continue
+        bits = bin(masks[id(h)])[:1:-1].encode().translate(_BITS)
+        out.append(convert(compress(ranked, bits)))
+        refs[id(h)] -= 1
+        if not refs[id(h)]:
+            del masks[id(h)]
+    return out
+
+
+def _leaf_mask(ranks):
+    if len(ranks) == 1:
+        return 1 << ranks[0]
+    if not ranks:
+        return 0
+    digits = bytearray(b"0") * (max(ranks) + 1)
+    for r in ranks:
+        digits[r] = 49  # ord("1")
+    return int(digits[::-1], 2)
+
+
 def expand(node):
     """Resolve a witness handle to the frozenset of element ids it denotes."""
-    if node is None:
-        return None
-    memo: dict[int, frozenset] = {}
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if id(cur) in memo:
-            continue
-        if type(cur) is WLeaf:
-            memo[id(cur)] = cur.ids
-        else:
-            pending = [c for c in (cur.left, cur.right) if id(c) not in memo]
-            if pending:
-                stack.append(cur)
-                stack.extend(pending)
-            else:
-                memo[id(cur)] = memo[id(cur.left)] | memo[id(cur.right)]
-    return memo[id(node)]
+    return expand_all([node])[0]

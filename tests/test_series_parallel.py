@@ -73,6 +73,19 @@ def test_parse_shapes_and_errors():
         parse_sp('{"leaf":{"id":"a","weight":[1,"x"]}}')
 
 
+def test_parse_sp_rejects_text_nested_too_deeply():
+    # json.loads gives up on deep nesting with a RecursionError
+    depth = 5000
+    leaf_json = '{"leaf": {"id": "x%d", "weight": [1, 2]}}'
+    text = (
+        "".join('{"series": [%s, ' % (leaf_json % i) for i in range(depth))
+        + leaf_json % depth
+        + "]}" * depth
+    )
+    with pytest.raises(InputFormatError, match="nested too deeply"):
+        parse_sp(text)
+
+
 def test_round_trip_json():
     rng = random.Random(5)
     t = random_sp_tree(rng, 30)
