@@ -1,7 +1,7 @@
 """Command-line front end.
 
-stdout carries exactly one machine-readable payload per run (JSON, or CSV
-for bench); everything diagnostic goes to stderr. Exit codes: 0 success,
+stdout carries exactly one JSON payload per run (plot writes its SVG to a
+file instead); everything diagnostic goes to stderr. Exit codes: 0 success,
 1 bad input, 2 broken invariant (oracle mismatch or internal assertion).
 Set PARACLOSE_LOG=debug for chatter.
 """
@@ -14,7 +14,6 @@ import logging
 import os
 import random
 import sys
-import time
 from fractions import Fraction
 
 from .errors import InputFormatError, ParacloseError, StructureError
@@ -39,7 +38,6 @@ from .polygon import Polygon, _id_key
 from .poset import Poset, brute_polygon, incidence_poset
 from .semiorder import Semiorder, solve_semiorder
 from .series_parallel import parse_sp, solve_sp, sp_to_poset, sp_tree_to_json, tree_to_sp
-from .splay import reset_splay_steps, splay_steps
 from .svg import polygon_svg, profile_svg
 from .treewidth import TreeDecomposition, solve_treewidth
 from .width2 import solve_width2
@@ -83,18 +81,13 @@ def _load(path):
         raise InputFormatError(f"{path}: JSON nested too deeply") from None
 
 
-def _emit(args, text):
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit_json(args, obj):
+    text = json.dumps(obj, indent=2) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(args, obj):
-    _emit(args, json.dumps(obj, indent=2))
 
 
 def _check_oracle(args, n, build_poset, got):
@@ -247,32 +240,6 @@ def _cmd_plot(args):
     return 0
 
 
-_BENCH_SOLVERS = {
-    "sp": lambda rng, n: solve_sp(random_sp_tree(rng, n), track=False),
-    "semiorder": lambda rng, n: solve_semiorder(
-        Semiorder.from_json(random_semiorder(rng, n, span=10**4)), track=False
-    ),
-    "width2": lambda rng, n: solve_width2(
-        Poset.from_json(random_width2_poset(rng, n)), track=False
-    ),
-}
-
-
-def _cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    lines = ["size,hull,seconds,splay_steps"]
-    for n in sizes:
-        rng = random.Random(args.seed * 1_000_003 + n)
-        reset_splay_steps()
-        t0 = time.perf_counter()
-        poly = _BENCH_SOLVERS[args.solver](rng, n)
-        dt = time.perf_counter() - t0
-        lines.append(f"{n},{len(poly.vertices)},{dt:.4f},{splay_steps()}")
-        log.info("bench %s n=%d: %.3fs, %d vertices", args.solver, n, dt, len(poly.vertices))
-    _emit(args, "\n".join(lines))
-    return 0
-
-
 def _build_parser():
     top = _Parser(prog="paraclose", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -314,10 +281,6 @@ def _build_parser():
     gen.add_argument("--span", type=int, default=9, help="weight magnitude bound")
     gen.add_argument("--width", type=int, default=3, help="treewidth bound for --class treewidth")
     add("plot", _cmd_plot, "render a polygon, poset (with point cloud) or profile to SVG")
-    bench = add("bench", _cmd_bench, "CSV scaling runs", input_file=False)
-    bench.add_argument("--solver", required=True, choices=sorted(_BENCH_SOLVERS))
-    bench.add_argument("--sizes", required=True, help="comma-separated instance sizes")
-    bench.add_argument("--seed", type=int, default=0)
     return top
 
 

@@ -401,14 +401,16 @@ def segment_zonotope(generators, gen_ids=None, track=True):
             gens.reverse()
     elif len(gens) > 2:
         gens.sort(key=_dir_sort_key)
-    # Group parallel generators: one edge per direction class.
+    # Group parallel generators: one edge per direction class, grown in place.
     groups = []
     for d, idx, flipped in gens:
         if groups and crossv(groups[-1][0], d) == 0:
-            pd, items = groups[-1]
-            groups[-1] = ((pd[0] + d[0], pd[1] + d[1]), items + [(idx, flipped)])
+            group = groups[-1]
+            pd = group[0]
+            group[0] = (pd[0] + d[0], pd[1] + d[1])
+            group[1].append((idx, flipped))
         else:
-            groups.append((d, [(idx, flipped)]))
+            groups.append([d, [(idx, flipped)]])
     verts = [(base_x, base_y)]
     wits = None
     if track:

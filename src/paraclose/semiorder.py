@@ -30,10 +30,6 @@ from .witness import wleaf
 SPLIT_COEFF = 6
 SPLIT_SLACK = 8
 
-# Below this combined vertex count the plain kernel beats a splay merge;
-# the quadtree produces mostly small pieces, so it pays to set this high.
-_KERNEL_CUTOFF = 128
-
 
 class PadId:
     """Identity-only id for padding items; never equal to a caller's id."""
@@ -231,7 +227,7 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
                     (max(cf_lo, pf_hi, pf_lo), cf_hi),
                 ])
                 if z is not None:
-                    res = combine_any("+", res, z, track, threshold=_KERNEL_CUTOFF)
+                    res = combine_any("+", res, z, track)
                 lo = a - 1 if a >= 1 else 0
                 if ca - 1 > lo:
                     # Indices [lo, ca-2] move from variable to forced-in.
@@ -242,7 +238,7 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
         # Fold pairwise so small pieces meet small pieces first.
         while len(parts) > 1:
             parts = [
-                combine_any("u", parts[k], parts[k + 1], track, threshold=_KERNEL_CUTOFF)
+                combine_any("u", parts[k], parts[k + 1], track)
                 if k + 1 < len(parts) else parts[k]
                 for k in range(0, len(parts), 2)
             ]
@@ -254,7 +250,7 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
     pts = [(px[k], py[k]) for k in range(nn + 1)]
     wits = [wleaf(frozenset(ids[:k])) for k in range(nn + 1)] if track else None
     prefixes = hull_of_points(pts, wits)
-    res = prefixes if body is None else combine_any("u", body, prefixes, track, threshold=_KERNEL_CUTOFF)
+    res = prefixes if body is None else combine_any("u", body, prefixes, track)
     if isinstance(res, SplayPolygon):
         res = res.to_polygon()
     for side, cnt in splits.items():

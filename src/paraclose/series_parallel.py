@@ -165,9 +165,10 @@ def _leaf_polygon(weight, wit):
 
 
 def solve_sp(t, track=True) -> Polygon:
-    """polygon of the order: bottom-up over the decomposition tree. Small
-    intermediates stay plain polygons; combine_any promotes to splay
-    engines once a side outgrows the kernel threshold.
+    """polygon of the order: bottom-up over the decomposition tree. Each
+    merge goes through combine_any: sides of comparable size meet in the
+    plain kernel, and a much smaller side is merged into a splay engine
+    holding the larger one.
 
     Automatic cyclic GC is paused for the build. A tracked solve allocates
     a witness DAG of a few objects per element that all stay alive, so each

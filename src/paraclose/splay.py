@@ -536,16 +536,6 @@ def _union_insert(ch, vx, vy, handle, sign):
     lt.sz = 1 + _sz(lt.left) + rt.sz
 
 
-def _engine_size(e):
-    return 0 if e.lo is None else e.lo.size + e.up.size
-
-
-def _via_kernel(op, a, b, track):
-    res = op(a.to_polygon(), b.to_polygon())
-    a.dead = b.dead = True
-    return SplayPolygon.from_polygon(res, track)
-
-
 def merge_minkowski(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
     """Minkowski sum; consumes both arguments, recycling the larger tree."""
     a._check()
@@ -554,33 +544,14 @@ def merge_minkowski(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
     if a.is_empty or b.is_empty:
         a.dead = b.dead = True
         return SplayPolygon(None, None, track)
-    if _engine_size(a) < _engine_size(b):
+    if a.count < b.count:
         a, b = b, a
-    if a.count <= 2:
-        return _via_kernel(_kernel_minkowski, a, b, track)
     ep = _next_epoch()
     _mink_chain(a.lo, _chain_list(b.lo), 1, ep, track)
     _mink_chain(a.up, _chain_list(b.up), -1, ep, track)
     a.track = track
     b.dead = True
     return a
-
-
-def combine_any(kind, a, b, track=True, threshold=64):
-    """Merge two results that may each be a plain Polygon or an engine.
-    Small Polygon pairs go through the kernel directly; anything bigger is
-    promoted to an engine and merged smaller-into-larger. kind: "+" for
-    Minkowski sum, "u" for hull of union. Engines are consumed."""
-    pa, pb = isinstance(a, Polygon), isinstance(b, Polygon)
-    if pa and pb and len(a) + len(b) <= threshold:
-        op = _kernel_minkowski if kind == "+" else _kernel_union
-        return op(a, b)
-    if pa:
-        a = SplayPolygon.from_polygon(a, track)
-    if pb:
-        b = SplayPolygon.from_polygon(b, track)
-    op = merge_minkowski if kind == "+" else merge_union
-    return op(a, b)
 
 
 def merge_union(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
@@ -596,10 +567,8 @@ def merge_union(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
         b.dead = True
         a.track = track
         return a
-    if _engine_size(a) < _engine_size(b):
+    if a.count < b.count:
         a, b = b, a
-    if a.count <= 2:
-        return _via_kernel(_kernel_union, a, b, track)
     for x, y, h in _chain_list(b.lo):
         _union_insert(a.lo, x, y, h if track else None, 1)
     for x, y, h in _chain_list(b.up):
@@ -607,3 +576,54 @@ def merge_union(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
     a.track = track
     b.dead = True
     return a
+
+
+# A merge whose operands' vertex counts are within this factor of each other
+# goes through the plain kernel, costing at most (_RATIO + 1) times the
+# smaller side; anything more lopsided goes to the engine.
+_RATIO = 4
+
+
+def _size(x):
+    if isinstance(x, Polygon):
+        return len(x)
+    x._check()
+    return x.count
+
+
+def _settle(x):
+    """Plain polygon of a merge operand, consuming an engine."""
+    if isinstance(x, Polygon):
+        return x
+    poly = x.to_polygon()
+    x.dead = True
+    return poly
+
+
+def combine_any(kind, a, b, track=True):
+    """Merge two results that may each be a plain Polygon or an engine; the
+    one place that picks between the kernel and the engine. kind: "+" for
+    Minkowski sum, "u" for hull of union.
+
+    Operands of comparable vertex count (within _RATIO) are merged by the
+    kernel, reading out any engine; a lopsided pair is merged smaller-into-
+    larger by the engine, promoting Polygon operands. So the work of every
+    merge is charged to its smaller side, as in Carlson-Eppstein's subtree
+    merges. An empty operand empties a sum and drops out of a union without
+    touching the other side. Engine operands are consumed."""
+    na, nb = _size(a), _size(b)
+    if na == 0 or nb == 0:
+        keep = EMPTY_POLYGON if kind == "+" else (b if na == 0 else a)
+        for x in (a, b):
+            if x is not keep and not isinstance(x, Polygon):
+                x.dead = True
+        return keep
+    if max(na, nb) <= _RATIO * min(na, nb):
+        op = _kernel_minkowski if kind == "+" else _kernel_union
+        return op(_settle(a), _settle(b))
+    if isinstance(a, Polygon):
+        a = SplayPolygon.from_polygon(a, track)
+    if isinstance(b, Polygon):
+        b = SplayPolygon.from_polygon(b, track)
+    op = merge_minkowski if kind == "+" else merge_union
+    return op(a, b)

@@ -152,18 +152,6 @@ def test_plot_all_modes(tmp_path, capsys):
         assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
 
 
-def test_bench_emits_csv(capsys):
-    rc, out, _ = _run(capsys, "bench", "--solver", "sp", "--sizes", "32,64", "--seed", "1")
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "size,hull,seconds,splay_steps"
-    assert len(lines) == 3
-    for row in lines[1:]:
-        n, hull, secs, steps = row.split(",")
-        assert int(hull) <= 2 * int(n)
-        float(secs), int(steps)
-
-
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     rc, _, err = _run(capsys, "oracle", str(tmp_path / "missing.json"))
     assert rc == 1 and "cannot read" in err

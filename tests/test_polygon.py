@@ -131,6 +131,30 @@ def test_zonotope_hand_cases():
     assert z.witness_sets() == [{"b"}, frozenset(), {"a"}, {"a", "b"}]
 
 
+def test_zonotope_many_parallel_generators():
+    # one parallel group of 10^5 generators, half of them pointing the
+    # other way; growing the group must stay linear in its size
+    import time
+
+    k = 10**5
+    gens = []
+    for i in range(k):
+        m = 1 + i % 3
+        gens.append((m, 2 * m) if i % 2 else (-m, -2 * m))
+    ids = list(range(k))
+    lo = (sum(min(gx, 0) for gx, _ in gens), sum(min(gy, 0) for _, gy in gens))
+    hi = (sum(max(gx, 0) for gx, _ in gens), sum(max(gy, 0) for _, gy in gens))
+    for track in (True, False):
+        t0 = time.perf_counter()
+        z = segment_zonotope(gens, ids, track)
+        assert time.perf_counter() - t0 < 5
+        assert z.vertices == (lo, hi)
+        if track:
+            assert z.witness_sets() == [set(ids[0::2]), set(ids[1::2])]
+        else:
+            assert z.wit is None
+
+
 def test_zonotope_random_vs_oracle():
     rng = random.Random(17)
     for _ in range(200):

@@ -1,7 +1,7 @@
 import random
 
 from oracles import random_polygon
-from paraclose.polygon import hull_of_points, hull_union, minkowski_sum, point
+from paraclose.polygon import Polygon, hull_of_points, hull_union, minkowski_sum, point
 from paraclose.splay import (
     SplayPolygon,
     merge_minkowski,
@@ -36,12 +36,34 @@ def test_translate():
             assert "shift" in s
 
 
-def test_minkowski_matches_kernel():
-    rng = random.Random(5)
+def _random_pairs(seed):
+    """400 random operand pairs, then pairs whose larger side is a point or
+    a segment (the other side no bigger, either one first), on a small grid
+    so that ties, coincident vertices and parallel or vertical edges are
+    common."""
+    rng = random.Random(seed)
     for trial in range(400):
         kmax = 4 if trial % 3 == 0 else 24
         p = random_polygon(rng, kmax=kmax, label="P")
         q = random_polygon(rng, kmax=rng.choice([1, 2, 3, kmax]), label="Q")
+        yield p, q
+    for _ in range(600):
+        p = _degenerate(rng, rng.choice([1, 2]), "P")
+        q = _degenerate(rng, rng.randint(1, len(p)), "Q")
+        yield (p, q) if rng.random() < 0.5 else (q, p)
+
+
+def _degenerate(rng, k, label):
+    """Random point (k = 1) or segment (k = 2) with labelled witnesses."""
+    while True:
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k)]
+        poly = hull_of_points(pts, [wleaf({(label, i)}) for i in range(k)])
+        if len(poly) == k:
+            return poly
+
+
+def test_minkowski_matches_kernel():
+    for p, q in _random_pairs(5):
         want = minkowski_sum(p, q)
         got = merge_minkowski(eng(p), eng(q)).to_polygon()
         assert got == want, (p.vertices, q.vertices)
@@ -49,11 +71,7 @@ def test_minkowski_matches_kernel():
 
 
 def test_union_matches_kernel():
-    rng = random.Random(7)
-    for trial in range(400):
-        kmax = 4 if trial % 3 == 0 else 24
-        p = random_polygon(rng, kmax=kmax, label="P")
-        q = random_polygon(rng, kmax=rng.choice([1, 2, 3, kmax]), label="Q")
+    for p, q in _random_pairs(7):
         want = hull_union(p, q)
         got = merge_union(eng(p), eng(q)).to_polygon()
         assert got == want, (p.vertices, q.vertices)
@@ -207,3 +225,75 @@ def test_random_op_chains_witness_sums():
                 check(e, ref)
         for e, ref in pool:
             check(e, ref)
+
+
+def _caterpillar(n, seed):
+    """Rooted tree: spine s0 -> s1 -> ..., each spine vertex with one leaf
+    child, random weights. tree_to_sp turns it into an alternating
+    series/parallel spine whose every merge is lopsided."""
+    rng = random.Random(seed)
+
+    def w():
+        return [rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)]
+
+    edges = []
+    for i in range(n // 2):
+        if i:
+            edges.append({"parent": f"s{i - 1}", "child": f"s{i}", "weight": w()})
+        edges.append({"parent": f"s{i}", "child": f"l{i}", "weight": w()})
+    return {"root": {"id": "s0", "weight": w()}, "edges": edges}
+
+
+def test_lopsided_merges_stay_off_the_kernel(monkeypatch):
+    # Kernel work is linear in both operands, so feeding every caterpillar
+    # merge to it costs about n^2/4 operand vertices; the ratio rule sends
+    # those merges to the engine and keeps the kernel's share linear.
+    import paraclose.splay as splay
+    from paraclose.series_parallel import solve_sp, tree_to_sp
+
+    seen = [0]
+
+    def counting(op):
+        def run(p, q):
+            seen[0] += len(p) + len(q)
+            return op(p, q)
+        return run
+
+    monkeypatch.setattr(splay, "_kernel_minkowski", counting(minkowski_sum))
+    monkeypatch.setattr(splay, "_kernel_union", counting(hull_union))
+    n = 4000
+    poly = solve_sp(tree_to_sp(_caterpillar(n, 3)), track=False)
+    assert len(poly) > n // 4  # a hull that grows along the spine
+    assert seen[0] <= 4 * n, seen[0]
+
+
+def test_combine_any_dispatch():
+    import pytest
+
+    from paraclose.polygon import EMPTY_POLYGON
+    from paraclose.splay import combine_any
+
+    def sized(k, label, shift):
+        # k points on a parabola: all in convex position
+        pts = [(i, (i - shift) ** 2) for i in range(k)]
+        return hull_of_points(pts, [wleaf({(label, i)}) for i in range(k)])
+
+    p, q = sized(8, "P", 3), sized(8, "Q", 5)
+    for kind, op in (("+", minkowski_sum), ("u", hull_union)):
+        # near-equal sizes go to the kernel, reading the engine out
+        e = eng(p)
+        got = combine_any(kind, e, q)
+        assert isinstance(got, Polygon) and got == op(p, q)
+        with pytest.raises(RuntimeError):
+            combine_any(kind, e, q)
+    big = sized(200, "B", 0)
+    got = combine_any("+", big, point((1, 2), wleaf({"x"})))
+    assert isinstance(got, SplayPolygon)
+    assert got.to_polygon() == big.translate((1, 2))
+    # an empty side passes the other one through untouched
+    assert combine_any("u", EMPTY_POLYGON, big) is big
+    e = eng(big)
+    assert combine_any("u", e, EMPTY_POLYGON) is e
+    assert combine_any("+", e, EMPTY_POLYGON) is EMPTY_POLYGON
+    with pytest.raises(RuntimeError):
+        e.to_polygon()
