@@ -8,6 +8,9 @@ so the set is the prefix 0..q). A quadtree over the (p, q) grid classifies
 whole squares at once: squares outside the feasible band are dropped,
 squares deep inside it become zonotopes of their free elements, and only a
 few staircases of squares along the band boundaries ever get subdivided.
+The quadtree's root side is the next power of two at or above n, and its
+squares are clipped at n: a square whose rows all lie past the last item
+holds no grid point, so the solve runs on the n items as given.
 Each square's hull is kept relative to its prefix and without its own
 always-free block, which the parent restores as a small Minkowski sum; that
 keeps the total segment mass near-linear instead of quadratic.
@@ -19,28 +22,16 @@ from collections import namedtuple
 
 from .errors import InputFormatError
 from .parametric import rat, rat_str
-from .polygon import Polygon, hull_of_points, point, segment_zonotope
+from .polygon import Polygon, hull_of_points, segment_zonotope
 from .poset import _check_weight, semiorder_poset
 from .splay import SplayPolygon, combine_any
-from .witness import wleaf
+from .witness import prefix_tags, wleaf
 
 # Squares of side l that get subdivided hug a few monotone staircases, so
 # their count is linear in n/l. Checked on every solve; a violation means
 # the classification logic regressed, not that the input is bad.
 SPLIT_COEFF = 6
 SPLIT_SLACK = 8
-
-
-class PadId:
-    """Identity-only id for padding items; never equal to a caller's id."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __repr__(self):
-        return f"<pad{self.k}>"
 
 
 GridSquare = namedtuple("GridSquare", ("origin", "side"))
@@ -109,24 +100,6 @@ class Semiorder:
         return Semiorder(triples)
 
 
-def pad_to_power_of_two(s: Semiorder) -> Semiorder:
-    """Pad with zero-weight items below everything until the size is a power
-    of two. Pads never change a projection and sit under every real item, so
-    the polygon is unchanged."""
-    n = len(s)
-    if n == 0:
-        return s
-    nn = 1
-    while nn < n:
-        nn *= 2
-    if nn == n:
-        return s
-    pad_util = s.utilities[0] - 2  # past the unit margin below the minimum
-    items = [(PadId(k), pad_util, (0, 0)) for k in range(nn - n)]
-    items.extend(zip(s.ids, s.utilities, s.weights))
-    return Semiorder(items)
-
-
 def extremes(s: Semiorder, lower) -> tuple:
     """Grid point (p, q) of a nonempty lower set: q its largest index, p-1
     the smallest index below q left out, p = 0 when none is missing."""
@@ -155,26 +128,25 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
     """Hull of the projections of every lower set of the semiorder, with one
     witness per vertex when track is on."""
     n = len(s)
-    if n == 0:
-        return point((0, 0), wleaf(frozenset()) if track else None)
-    padded = pad_to_power_of_two(s)
-    nn = len(padded)
-    ids = padded.ids
-    w = padded.weights
-    u = padded.utilities
+    nn = 1  # root side of the quadtree; rows and columns past n are clipped
+    while nn < n:
+        nn *= 2
+    ids = s.ids
+    w = s.weights
+    u = s.utilities
     # within[q] = smallest index whose utility is within the unit margin of
     # u[q]; nondecreasing and never past q. A point (p, q) with p >= 1 is
     # feasible exactly when p <= q and within[q] <= p - 1.
-    within = [0] * nn
+    within = [0] * n
     t = 0
-    for q in range(nn):
+    for q in range(n):
         bar = u[q] - 1
         while u[t] < bar:
             t += 1
         within[q] = t
-    px = [0] * (nn + 1)
-    py = [0] * (nn + 1)
-    for k in range(nn):
+    px = [0] * (n + 1)
+    py = [0] * (n + 1)
+    for k in range(n):
         px[k + 1] = px[k] + w[k][0]
         py[k + 1] = py[k] + w[k][1]
     splits = {}
@@ -199,9 +171,10 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
         # Columns [a, a+side) and rows [b, b+side) of the (p, q) grid. The
         # result is relative to the prefix 0..a-2 and leaves out the
         # square's own free block [a+side, b-1]; None when no feasible
-        # point lies inside.
+        # point lies inside. Rows stop at n - 1, so a square whose rows all
+        # lie past it has qs > b2.
         a2 = a + side - 1
-        b2 = b + side - 1
+        b2 = min(b + side, n) - 1
         qs = b if b >= a else a
         if qs > b2 or max(1, within[qs] + 1) > a2:
             return None
@@ -247,8 +220,8 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
     body = go(0, 0, nn)
     # Prefixes are the p = 0 column (plus the empty set); they are cheaper
     # as one hull than through the quadtree.
-    pts = [(px[k], py[k]) for k in range(nn + 1)]
-    wits = [wleaf(frozenset(ids[:k])) for k in range(nn + 1)] if track else None
+    pts = [(px[k], py[k]) for k in range(n + 1)]
+    wits = prefix_tags(ids) if track else None
     prefixes = hull_of_points(pts, wits)
     res = prefixes if body is None else combine_any("u", body, prefixes, track)
     if isinstance(res, SplayPolygon):
@@ -256,13 +229,7 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
     for side, cnt in splits.items():
         if cnt > SPLIT_COEFF * nn // side + SPLIT_SLACK:
             raise AssertionError(
-                f"{cnt} subdivided squares of side {side} for n'={nn}; "
-                f"expected at most {SPLIT_COEFF}*n'/side + {SPLIT_SLACK}"
+                f"{cnt} subdivided squares of side {side} under a root of "
+                f"side {nn}; expected at most {SPLIT_COEFF}*{nn}/side + {SPLIT_SLACK}"
             )
-    if track and nn != n:
-        stripped = tuple(
-            wleaf(frozenset(x for x in ws if not isinstance(x, PadId)))
-            for ws in res.witness_sets()
-        )
-        res = Polygon(res.vertices, stripped)
     return res

@@ -18,8 +18,11 @@ oldest epoch folded in. Delivering the tag replaces a target cur of epoch
 rep outright and settles an older one into acc. This is what makes sum
 merges work: a vertex re-paired with a later small-chain vertex must drop
 the earlier pairing, even when newer tags pile up on top before the pending
-one reaches it. Epochs come from a global counter, one per tagging
-operation, so an incoming tag is never older than a stored one.
+one reaches it. Epochs come from a counter on each engine, one per tagging
+operation. Tags are only ever compared inside one tree's lineage: a merge
+reads the smaller side out as plain handles and keeps tagging the larger
+tree with the larger tree's counter, so an incoming tag is never older than
+a stored one.
 
 The module-level rotation counter feeds the performance checks; every single
 rotation counts once.
@@ -33,7 +36,6 @@ from .polygon import minkowski_sum as _kernel_minkowski
 from .witness import wunion
 
 STEPS = 0
-_EPOCH = 0
 
 
 def splay_steps():
@@ -43,12 +45,6 @@ def splay_steps():
 def reset_splay_steps():
     global STEPS
     STEPS = 0
-
-
-def _next_epoch():
-    global _EPOCH
-    _EPOCH += 1
-    return _EPOCH
 
 
 class _Node:
@@ -227,13 +223,14 @@ class SplayPolygon:
     """Mutable polygon with splay-tree chains. Create via from_polygon; the
     merge functions below consume their arguments."""
 
-    __slots__ = ("lo", "up", "track", "dead")
+    __slots__ = ("lo", "up", "track", "dead", "epoch")
 
     def __init__(self, lo, up, track):
         self.lo = lo
         self.up = up
         self.track = track
         self.dead = False
+        self.epoch = 0  # last tagging epoch used on these trees
 
     @classmethod
     def from_polygon(cls, poly: Polygon, track=True):
@@ -275,7 +272,8 @@ class SplayPolygon:
             return self
         dx, dy = d
         if self.track and tag is not None:
-            ep = _next_epoch()
+            self.epoch += 1
+            ep = self.epoch
             _tag(self.lo.root, tag, None, ep, ep)
             _tag(self.up.root, tag, None, ep, ep)
         for ch in (self.lo, self.up):
@@ -546,7 +544,8 @@ def merge_minkowski(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
         return SplayPolygon(None, None, track)
     if a.count < b.count:
         a, b = b, a
-    ep = _next_epoch()
+    a.epoch += 1
+    ep = a.epoch
     _mink_chain(a.lo, _chain_list(b.lo), 1, ep, track)
     _mink_chain(a.up, _chain_list(b.up), -1, ep, track)
     a.track = track
@@ -561,11 +560,9 @@ def merge_union(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
     track = a.track and b.track
     if a.is_empty:
         a.dead = True
-        b.track = track
         return b
     if b.is_empty:
         b.dead = True
-        a.track = track
         return a
     if a.count < b.count:
         a, b = b, a

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import StructureError
 from .polygon import hull_of_points, hull_union, minkowski_sum, point
-from .witness import wleaf, wunion
+from .witness import prefix_tags, wleaf, wunion
 
 # Emitted squares of side s hug two monotone staircases plus the grid
 # edge, so per side the count stays linear in N/s. Margins picked from
@@ -259,8 +259,8 @@ def solve_width2_chains(poset, chains: ChainDecomposition, track=True):
     tab2 = _chain_tables(poset, chains.chain2, p2, size, track)
     pre1 = pre2 = None
     if track:
-        pre1 = _prefix_tags(chains.chain1)
-        pre2 = _prefix_tags(chains.chain2)
+        pre1 = prefix_tags(chains.chain1)
+        pre2 = prefix_tags(chains.chain2)
     pts = []
     wits = [] if track else None
     counts = {}
@@ -278,10 +278,3 @@ def solve_width2_chains(poset, chains: ChainDecomposition, track=True):
             f"{c} squares of side {s} on a grid of {size}"
         )
     return hull_of_points(pts, wits)
-
-
-def _prefix_tags(chain):
-    tags = [wleaf(frozenset())]
-    for e in chain:
-        tags.append(wunion(tags[-1], wleaf(frozenset((e,)))))
-    return tags

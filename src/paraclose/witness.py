@@ -54,6 +54,15 @@ def wunion(a, b):
     return WUnion(a, b)
 
 
+def prefix_tags(items) -> list:
+    """Handles of the prefixes items[:k] for k = 0..len(items), as one chain
+    of shared nodes: n + 1 handles in O(n) nodes rather than O(n^2) ids."""
+    tags = [EMPTY]
+    for x in items:
+        tags.append(wunion(tags[-1], wleaf((x,))))
+    return tags
+
+
 # '0'/'1' digits of bin() to the 0/1 bytes that compress() selects on
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,11 +9,9 @@ from paraclose.polygon import Polygon, hull_of_points, is_canonical
 from paraclose.poset import brute_polygon
 from paraclose.semiorder import (
     GridSquare,
-    PadId,
     Semiorder,
     extremes,
     freeset,
-    pad_to_power_of_two,
     solve_semiorder,
 )
 
@@ -28,35 +25,6 @@ def _check_witnesses(poly, poset):
             mask |= 1 << poset.index[e]
         assert poset.is_lower_set(mask)
         assert poset.project(mask) == v
-
-
-def test_pad_noop_on_power_of_two():
-    s = Semiorder([(f"x{i}", i, (1, 1)) for i in range(4)])
-    assert pad_to_power_of_two(s) is s
-    empty = Semiorder([])
-    assert pad_to_power_of_two(empty) is empty
-
-
-def test_pad_adds_items_below_everything():
-    s = Semiorder([("a", "1/2", (3, -2)), ("b", 2, (0, 1)), ("c", 0, (5, 5))])
-    p = pad_to_power_of_two(s)
-    assert len(p) == 4
-    assert isinstance(p.ids[0], PadId)
-    assert p.weights[0] == (0, 0)
-    assert p.utilities[0] == Fraction(-2)  # u_min - 2
-    po = p.to_poset()
-    pad_bit = 1 << po.index[p.ids[0]]
-    for other in "abc":
-        assert po.below[po.index[other]] & pad_bit
-
-
-def test_pad_preserves_polygon():
-    rng = random.Random(5)
-    for n in (3, 5, 6, 7):
-        s = Semiorder.from_json(random_semiorder(rng, n))
-        p = pad_to_power_of_two(s)
-        assert len(p) == 8 if n > 4 else 4
-        assert brute_polygon(p.to_poset()) == brute_polygon(s.to_poset())
 
 
 def test_extremes_examples():
@@ -131,14 +99,6 @@ def test_solve_random_matches_oracle():
         _check_witnesses(got, s.to_poset())
 
 
-def test_witnesses_never_leak_pads():
-    rng = random.Random(17)
-    for n in (3, 5, 6, 7, 9):
-        s = Semiorder.from_json(random_semiorder(rng, n))
-        for ws in solve_semiorder(s).witness_sets():
-            assert all(not isinstance(x, PadId) for x in ws)
-
-
 def test_track_false_same_geometry():
     rng = random.Random(29)
     for _ in range(30):
@@ -155,6 +115,31 @@ def test_solve_tiny():
     got = solve_semiorder(one)
     assert got == brute_polygon(one.to_poset())
     _check_witnesses(got, one.to_poset())
+
+
+def _is_lower_in_utility_order(s, members):
+    """Scan the items in utility order: a set is lower exactly when no
+    left-out item sits more than one unit below an included one."""
+    top = max((u for x, u in zip(s.ids, s.utilities) if x in members), default=None)
+    low = min((u for x, u in zip(s.ids, s.utilities) if x not in members), default=None)
+    return top is None or low is None or not low < top - 1
+
+
+def test_clipped_grid_sizes():
+    # Sizes off a power of two leave most of the quadtree's root square past
+    # the last item. The solve checks its own square-split counts and raises
+    # AssertionError when they exceed the bound.
+    rng = random.Random(43)
+    for n, umax in ((1025, 3), (1536, 96), (3000, 3000 // 16)):
+        s = Semiorder.from_json(random_semiorder(rng, n, span=10**4, utility_max=umax))
+        got = solve_semiorder(s)
+        assert is_canonical(got)
+        assert got == solve_semiorder(s, track=False)
+        weight = dict(zip(s.ids, s.weights))
+        for v, members in zip(got.vertices, got.witness_sets()):
+            assert _is_lower_in_utility_order(s, members)
+            assert (sum(weight[x][0] for x in members),
+                    sum(weight[x][1] for x in members)) == v
 
 
 def test_hull_growth_smoke():

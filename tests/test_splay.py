@@ -158,6 +158,50 @@ def test_sum_then_translate_then_union_witnesses():
                 assert s in rw and rw[s] == v
 
 
+def test_union_with_empty_engine_keeps_witnesses():
+    from paraclose.polygon import EMPTY_POLYGON
+
+    rng = random.Random(23)
+    for _ in range(30):
+        p = random_polygon(rng, kmax=10)
+        want = hull_union(EMPTY_POLYGON, p)
+        for a, b in ((EMPTY_POLYGON, p), (p, EMPTY_POLYGON)):
+            got = merge_union(eng(a), eng(b)).to_polygon()
+            assert got == want
+            assert got.witness_sets() == want.witness_sets()
+
+
+def test_independent_engines_keep_their_own_epochs():
+    # Two engines tagged and summed independently count epochs from the
+    # same start, so their stored epochs overlap; merging them and tagging
+    # the result further must still match the kernel's witnesses exactly.
+    rng = random.Random(29)
+
+    def grow(e, ref, steps, label):
+        for k in range(steps):
+            if rng.random() < 0.5:
+                d = (rng.randint(-9, 9), rng.randint(-9, 9))
+                tag = wleaf({(label, "t", k)})
+                e = e.translate(d, tag)
+                ref = ref.translate(d, tag)
+            else:
+                q = random_polygon(rng, kmax=rng.choice([2, 4, 12]), label=(label, k))
+                e = merge_minkowski(e, eng(q))
+                ref = minkowski_sum(ref, q)
+        return e, ref
+
+    for trial in range(80):
+        p1 = random_polygon(rng, kmax=24, label=("A", trial))
+        p2 = random_polygon(rng, kmax=24, label=("B", trial))
+        e1, r1 = grow(eng(p1), p1, rng.randint(1, 6), "A")
+        e2, r2 = grow(eng(p2), p2, rng.randint(1, 6), "B")
+        e, ref = grow(merge_minkowski(e1, e2), minkowski_sum(r1, r2),
+                      rng.randint(0, 4), "C")
+        got = e.to_polygon()
+        assert got == ref
+        assert got.witness_sets() == ref.witness_sets()
+
+
 def test_untracked_mode_and_steps():
     rng = random.Random(19)
     reset_splay_steps()
