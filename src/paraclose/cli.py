@@ -26,6 +26,7 @@ from .generate import (
     random_width2_poset,
 )
 from .parametric import (
+    Piece,
     maximize_quasiconvex,
     objective,
     optimum_at,
@@ -34,7 +35,7 @@ from .parametric import (
     rat,
     rat_str,
 )
-from .polygon import Polygon, _id_key
+from .polygon import Polygon, _id_key, _is_int_pair
 from .poset import Poset, brute_polygon, incidence_poset
 from .semiorder import Semiorder, solve_semiorder
 from .series_parallel import parse_sp, solve_sp, sp_to_poset, sp_tree_to_json, tree_to_sp
@@ -208,21 +209,31 @@ def _cmd_gen(args):
     return 0
 
 
+def _read_pieces(pieces):
+    """Profile pieces from a payload written by `profile`; witnesses are
+    not needed for a plot and are left out."""
+    if not isinstance(pieces, list):
+        raise InputFormatError(f'"pieces" must be a list, got {pieces!r}')
+    out = []
+    for p in pieces:
+        if not isinstance(p, dict) or not {"vertex", "from", "to"} <= p.keys():
+            raise InputFormatError(f'profile piece needs "vertex", "from" and "to": {p!r}')
+        v = p["vertex"]
+        if not _is_int_pair(v):
+            raise InputFormatError(f"piece vertex must be a pair of integers, got {v!r}")
+        out.append(Piece(
+            tuple(v),
+            None,
+            None if p["from"] == "-inf" else rat(p["from"]),
+            None if p["to"] == "inf" else rat(p["to"]),
+        ))
+    return out
+
+
 def _cmd_plot(args):
     data = _load(args.input)
     if isinstance(data, dict) and "pieces" in data:
-        from .parametric import Piece
-
-        pieces = [
-            Piece(
-                tuple(p["vertex"]),
-                None,
-                None if p["from"] == "-inf" else rat(p["from"]),
-                None if p["to"] == "inf" else rat(p["to"]),
-            )
-            for p in data["pieces"]
-        ]
-        text = profile_svg(pieces)
+        text = profile_svg(_read_pieces(data["pieces"]))
     elif isinstance(data, dict) and "elements" in data:
         poset = Poset.from_json(data)
         cloud = [

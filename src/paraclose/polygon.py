@@ -44,6 +44,15 @@ def half(d):
     return 0 if d[0] > 0 or (d[0] == 0 and d[1] > 0) else 1
 
 
+def _is_int_pair(v):
+    """Whether a JSON value is a pair of integers (bools do not count)."""
+    return (
+        isinstance(v, (list, tuple))
+        and len(v) == 2
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
+    )
+
+
 class Polygon:
     __slots__ = ("vertices", "wit")
 
@@ -147,11 +156,7 @@ class Polygon:
             raise InputFormatError('expected an object with a "vertices" list')
         verts = []
         for v in data["vertices"]:
-            if (
-                not isinstance(v, (list, tuple))
-                or len(v) != 2
-                or not all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-            ):
+            if not _is_int_pair(v):
                 raise InputFormatError(f"vertex must be a pair of integers, got {v!r}")
             verts.append((v[0], v[1]))
         wit = data.get("witnesses")
@@ -159,7 +164,7 @@ class Polygon:
             if not isinstance(wit, list) or len(wit) != len(verts):
                 raise InputFormatError('"witnesses" must be a list with one entry per vertex')
             try:
-                wit = [wleaf(frozenset(s)) for s in wit]
+                wit = [wleaf(s) for s in wit]
             except TypeError:
                 raise InputFormatError("each witness must be a list of element ids") from None
         return cls(verts, wit)
@@ -365,19 +370,20 @@ def hull_union(p, q):
     )
 
 
-def segment_zonotope(generators, gen_ids=None, track=True):
+def segment_zonotope(generators, gen_ids=None):
     """Minkowski sum of the segments {(0,0), g} for each generator g.
 
     generators: iterable of integer pairs; zero vectors are skipped (their
     elements are simply left out of every witness, which is always valid).
     gen_ids: optional parallel list of ids used to build vertex witnesses as
-    explicit sets; witness cost is O(k^2) in the worst case, so pass
-    track=False for large geometric-only runs.
+    explicit sets. Witnesses are tracked exactly when gen_ids is given; their
+    cost is O(k^2) in the worst case, so leave gen_ids out for geometry-only
+    runs.
 
     Returns a canonical polygon with at most 2k vertices.
     """
     gens = []
-    track = track and gen_ids is not None
+    track = gen_ids is not None
     base_x = base_y = 0
     base_ids = set()
     for idx, g in enumerate(generators):

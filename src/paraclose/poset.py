@@ -12,18 +12,29 @@ structured solvers are checked against, guarded by an element-count limit.
 from __future__ import annotations
 
 from .errors import InputFormatError, LimitExceededError
-from .polygon import hull_of_points
+from .polygon import _is_int_pair, hull_of_points
 from .witness import wleaf
 
 
 def _check_weight(w, where):
-    if (
-        not isinstance(w, (list, tuple))
-        or len(w) != 2
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in w)
-    ):
+    if not _is_int_pair(w):
         raise InputFormatError(f"{where}: weight must be a pair of integers, got {w!r}")
     return (w[0], w[1])
+
+
+def _check_id(e, where):
+    """An element id read from JSON; arrays and objects are not hashable."""
+    if isinstance(e, (list, dict)):
+        raise InputFormatError(f"{where}: id must be a string or a number, got {e!r}")
+    return e
+
+
+def _check_list(data, key):
+    """data[key] (an empty list when absent), which must be a JSON array."""
+    v = data.get(key, [])
+    if not isinstance(v, list):
+        raise InputFormatError(f'"{key}" must be a list, got {v!r}')
+    return v
 
 
 class Poset:
@@ -175,15 +186,17 @@ class Poset:
         if not isinstance(data, dict) or "elements" not in data:
             raise InputFormatError('expected an object with an "elements" list')
         ids, weights = [], []
-        for el in data["elements"]:
+        for el in _check_list(data, "elements"):
             if not isinstance(el, dict) or "id" not in el:
                 raise InputFormatError(f"bad element entry: {el!r}")
-            ids.append(el["id"])
+            ids.append(_check_id(el["id"], "element"))
             weights.append(el.get("weight", [0, 0]))
-        pairs = data.get("relations", [])
+        pairs = _check_list(data, "relations")
         for p in pairs:
             if not isinstance(p, (list, tuple)) or len(p) != 2:
                 raise InputFormatError(f"bad relation entry: {p!r}")
+            for e in p:
+                _check_id(e, "relation")
         return cls(ids, weights, [tuple(p) for p in pairs])
 
 
@@ -221,19 +234,19 @@ def incidence_poset(graph):
     if not isinstance(graph, dict) or "vertices" not in graph:
         raise InputFormatError('expected an object with "vertices" and "edges"')
     ids, weights, pairs = [], [], []
-    for v in graph["vertices"]:
+    for v in _check_list(graph, "vertices"):
         if not isinstance(v, dict) or "id" not in v:
             raise InputFormatError(f"bad vertex entry: {v!r}")
-        ids.append(v["id"])
+        ids.append(_check_id(v["id"], "vertex"))
         weights.append(v.get("weight", [0, 0]))
     vset = set(ids)
-    for k, e in enumerate(graph.get("edges", [])):
-        if not isinstance(e, dict) or "ends" not in e or len(e["ends"]) != 2:
+    for k, e in enumerate(_check_list(graph, "edges")):
+        if not isinstance(e, dict) or not isinstance(e.get("ends"), list) or len(e["ends"]) != 2:
             raise InputFormatError(f"bad edge entry: {e!r}")
-        u, v = e["ends"]
+        u, v = (_check_id(x, "edge end") for x in e["ends"])
         if u not in vset or v not in vset:
             raise InputFormatError(f"edge {e!r} names unknown vertex")
-        eid = e.get("id", f"e{k}")
+        eid = _check_id(e.get("id", f"e{k}"), "edge")
         ids.append(eid)
         weights.append(e.get("weight", [0, 0]))
         pairs.append((u, eid))

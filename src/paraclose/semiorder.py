@@ -23,7 +23,7 @@ from collections import namedtuple
 from .errors import InputFormatError
 from .parametric import rat, rat_str
 from .polygon import Polygon, hull_of_points, segment_zonotope
-from .poset import _check_weight, semiorder_poset
+from .poset import _check_id, _check_weight, semiorder_poset
 from .splay import SplayPolygon, combine_any
 from .witness import prefix_tags, wleaf
 
@@ -96,7 +96,7 @@ class Semiorder:
                 raise InputFormatError(
                     f'item {k}: expected keys "id", "utility", "weight"'
                 )
-            triples.append((it["id"], it["utility"], it["weight"]))
+            triples.append((_check_id(it["id"], f"item {k}"), it["utility"], it["weight"]))
         return Semiorder(triples)
 
 
@@ -165,7 +165,7 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
                         gids.extend(ids[lo:hi])
         if gens is None:
             return None
-        return segment_zonotope(gens, gids, track)
+        return segment_zonotope(gens, gids)
 
     def go(a, b, side):
         # Columns [a, a+side) and rows [b, b+side) of the (p, q) grid. The
@@ -200,18 +200,18 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
                     (max(cf_lo, pf_hi, pf_lo), cf_hi),
                 ])
                 if z is not None:
-                    res = combine_any("+", res, z, track)
+                    res = combine_any("+", res, z)
                 lo = a - 1 if a >= 1 else 0
                 if ca - 1 > lo:
                     # Indices [lo, ca-2] move from variable to forced-in.
                     d = (px[ca - 1] - px[lo], py[ca - 1] - py[lo])
-                    tag = wleaf(frozenset(ids[lo:ca - 1])) if track else None
+                    tag = wleaf(ids[lo:ca - 1]) if track else None
                     res = res.translate(d, tag)
                 parts.append(res)
         # Fold pairwise so small pieces meet small pieces first.
         while len(parts) > 1:
             parts = [
-                combine_any("u", parts[k], parts[k + 1], track)
+                combine_any("u", parts[k], parts[k + 1])
                 if k + 1 < len(parts) else parts[k]
                 for k in range(0, len(parts), 2)
             ]
@@ -223,7 +223,7 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
     pts = [(px[k], py[k]) for k in range(n + 1)]
     wits = prefix_tags(ids) if track else None
     prefixes = hull_of_points(pts, wits)
-    res = prefixes if body is None else combine_any("u", body, prefixes, track)
+    res = prefixes if body is None else combine_any("u", body, prefixes)
     if isinstance(res, SplayPolygon):
         res = res.to_polygon()
     for side, cnt in splits.items():

@@ -19,7 +19,7 @@ import json
 
 from .errors import InputFormatError
 from .polygon import Polygon
-from .poset import Poset, _check_weight
+from .poset import Poset, _check_id, _check_list, _check_weight
 from .splay import SplayPolygon, combine_any
 from .witness import EMPTY, wleaf, wunion
 
@@ -96,6 +96,7 @@ def parse_sp(text):
             if key == LEAF:
                 if not isinstance(val, dict) or "id" not in val or "weight" not in val:
                     raise InputFormatError(f"bad leaf: {val!r}")
+                _check_id(val["id"], "leaf")
                 if val["id"] in seen:
                     raise InputFormatError(f"duplicate element id {val['id']!r}")
                 seen.add(val["id"])
@@ -202,11 +203,11 @@ def _solve_sp(t, track):
             l = acc.pop(id(node.left))
             r = acc.pop(id(node.right))
             if node.kind == PARALLEL:
-                acc[id(node)] = combine_any("+", l, r, track)
+                acc[id(node)] = combine_any("+", l, r)
             else:
                 tag = allw[id(node.left)] if track else None
                 r = r.translate(node.left.total, tag)
-                acc[id(node)] = combine_any("u", l, r, track)
+                acc[id(node)] = combine_any("u", l, r)
             if track:
                 allw[id(node)] = wunion(allw[id(node.left)],
                                         allw[id(node.right)])
@@ -226,11 +227,13 @@ def tree_to_sp(data):
     root = data["root"]
     if not isinstance(root, dict) or "id" not in root:
         raise InputFormatError(f"bad root entry: {root!r}")
-    children = {root["id"]: []}
+    children = {_check_id(root["id"], "root"): []}
     weights = {root["id"]: root.get("weight", [0, 0])}
-    for e in data.get("edges", []):
+    for e in _check_list(data, "edges"):
         if not isinstance(e, dict) or "parent" not in e or "child" not in e:
             raise InputFormatError(f"bad edge entry: {e!r}")
+        _check_id(e["parent"], "edge parent")
+        _check_id(e["child"], "edge child")
         if e["child"] in weights:
             raise InputFormatError(f"vertex {e['child']!r} has two parents")
         weights[e["child"]] = e.get("weight", [0, 0])

@@ -7,6 +7,15 @@ diff update and rotations fix positions in O(1). Each node also stores the
 edge vector to its in-order successor, which lets slope and tangent searches
 run root-to-leaf without touching neighbours.
 
+The monotone searches of the union merge (new first vertex, new last vertex,
+left and right tangent) all go through _first, which descends to the
+leftmost node where a predicate holds, given that it holds on a suffix of
+the chain. Two searches keep their own loop. _locate brackets a point from
+both sides and splays the deepest node it visited, which the amortized bound
+needs even when the point falls off an end. _find_slope runs once per edge
+of every sum merge; an edge's slope does not depend on where it sits, so it
+skips the position bookkeeping that _first carries.
+
 Built for merges where only the smaller argument should cost: the sum merge
 inserts the small polygon's edges into the big chain by slope, the union
 merge inserts the small polygon's vertices and excises what they dominate.
@@ -30,7 +39,7 @@ rotation counts once.
 
 from __future__ import annotations
 
-from .polygon import EMPTY_POLYGON, Polygon
+from .polygon import EMPTY_POLYGON, Polygon, _chains
 from .polygon import hull_union as _kernel_union
 from .polygon import minkowski_sum as _kernel_minkowski
 from .witness import wunion
@@ -179,19 +188,20 @@ class _Chain:
 
 
 def _build_chain(items):
-    """Balanced tree from lex-sorted (x, y, handle) triples."""
+    """Balanced tree from lex-sorted (point, handle) pairs."""
     n = len(items)
 
     def rec(lo, hi, pax, pay, par):
         if lo >= hi:
             return None
         mid = (lo + hi) // 2
-        x, y, base = items[mid]
+        (x, y), base = items[mid]
         node = _Node(x - pax, y - pay, base)
         node.par = par
         if mid + 1 < n:
-            node.ex = items[mid + 1][0] - x
-            node.ey = items[mid + 1][1] - y
+            nx, ny = items[mid + 1][0]
+            node.ex = nx - x
+            node.ey = ny - y
         node.left = rec(lo, mid, x, y, node)
         node.right = rec(mid + 1, hi, x, y, node)
         node.sz = hi - lo
@@ -200,8 +210,10 @@ def _build_chain(items):
     return _Chain(rec(0, n, 0, 0, None))
 
 
-def _inorder(ch):
-    """Yield (node, x, y) in chain order, pushing tags on the way down."""
+def _chain_list(ch):
+    """The chain's vertices in order as (point, handle) pairs, the kernel's
+    chain format; pushes tags on the way down."""
+    out = []
     stack = []
     n = ch.root
     ax = ay = 0
@@ -214,9 +226,10 @@ def _inorder(ch):
             ax, ay = x, y
             n = n.left
         n, x, y = stack.pop()
-        yield n, x, y
+        out.append(((x, y), _handle(n)))
         ax, ay = x, y
         n = n.right
+    return out
 
 
 class SplayPolygon:
@@ -233,23 +246,13 @@ class SplayPolygon:
         self.epoch = 0  # last tagging epoch used on these trees
 
     @classmethod
-    def from_polygon(cls, poly: Polygon, track=True):
-        track = track and poly.wit is not None
+    def from_polygon(cls, poly: Polygon):
+        """Engine holding poly; it tracks witnesses exactly when poly has them."""
+        track = poly.wit is not None
         if poly.is_empty:
             return cls(None, None, track)
-
-        def items(indices):
-            out = []
-            for i in indices:
-                x, y = poly.vertices[i]
-                out.append((x, y, poly.wit[i] if track else None))
-            return out
-
-        return cls(
-            _build_chain(items(poly.lower_chain())),
-            _build_chain(items(poly.upper_chain())),
-            track,
-        )
+        lo, up = _chains(poly, track)
+        return cls(_build_chain(lo), _build_chain(up), track)
 
     @property
     def is_empty(self):
@@ -285,71 +288,56 @@ class SplayPolygon:
         self._check()
         if self.lo is None:
             return EMPTY_POLYGON
-        low = [(x, y, n) for n, x, y in _inorder(self.lo)]
-        upp = [(x, y, n) for n, x, y in _inorder(self.up)]
-        assert low[0][:2] == upp[0][:2] and low[-1][:2] == upp[-1][:2]
+        low = _chain_list(self.lo)
+        upp = _chain_list(self.up)
+        assert low[0][0] == upp[0][0] and low[-1][0] == upp[-1][0]
         seq = low + upp[1:-1][::-1]
-        verts = [(x, y) for x, y, _ in seq]
-        wit = [_handle(n) for _, _, n in seq] if self.track else None
-        return Polygon(verts, wit)
+        return Polygon([p for p, _ in seq], [h for _, h in seq] if self.track else None)
 
 
-def _chain_list(ch):
-    return [(x, y, _handle(n)) for n, x, y in _inorder(ch)]
-
-
-def _find_slope(ch, d, sign):
-    """First in-order node whose outgoing edge reaches slope d for a sum
-    merge: lower chains (sign +1) stop at cross(e, d) <= 0, upper chains
+def _find_slope(ch, dx, dy, sign):
+    """First in-order node whose outgoing edge reaches slope (dx, dy) for a
+    sum merge: lower chains (sign +1) stop at cross(e, d) <= 0, upper chains
     (sign -1) at >= 0. The edgeless last node always matches. Splays and
     returns the match."""
-    dx, dy = d
     n = ch.root
-    ax = ay = 0
     best = None
     while n is not None:
         _push(n)
-        x = ax + n.dx
-        y = ay + n.dy
         if n.ex is None or sign * (n.ex * dy - n.ey * dx) <= 0:
             best = n
-            nxt = n.left
+            n = n.left
         else:
-            nxt = n.right
-        if nxt is None:
-            break
-        ax, ay = x, y
-        n = nxt
+            n = n.right
     _splay(ch, best)
     return best
 
 
 def _mink_chain(ch, small, sign, ep, track):
     """Fold the edges of a small chain into a big one, in slope order.
-    small: lex-sorted (x, y, handle) triples of the same side."""
-    sx, sy, sh = small[0]
+    small: lex-sorted (point, handle) pairs of the same side."""
+    (px, py), sh = small[0]
     root = ch.root
     if track:
         _tag(root, None, sh, ep, ep)
-    root.dx += sx
-    root.dy += sy
-    px, py = sx, sy
+    root.dx += px
+    root.dy += py
     for j in range(1, len(small)):
-        vx, vy, vh = small[j]
-        d = (vx - px, vy - py)
+        (vx, vy), vh = small[j]
+        dx, dy = vx - px, vy - py
         px, py = vx, vy
-        u = _find_slope(ch, d, sign)
+        u = _find_slope(ch, dx, dy, sign)
         r = u.right
-        if u.ex is not None and sign * (u.ex * d[1] - u.ey * d[0]) == 0:
+        if u.ex is not None and sign * (u.ex * dy - u.ey * dx) == 0:
             # parallel edges fuse; everything after shifts and re-pairs
-            u.ex += d[0]
-            u.ey += d[1]
-            r.dx += d[0]
-            r.dy += d[1]
+            u.ex += dx
+            u.ey += dy
+            r.dx += dx
+            r.dy += dy
             if track:
                 _tag(r, None, vh, ep, ep)
         else:
-            w = _Node(d[0], d[1])
+            w = _Node(dx, dy)
             if track:
                 # inherit only the big-side witness; the pairing handle goes
                 # in the tag slot so a later extension at w does not bake it in
@@ -357,7 +345,7 @@ def _mink_chain(ch, small, sign, ep, track):
                 w.tcur = vh
                 w.tep = ep
             w.ex, w.ey = u.ex, u.ey
-            u.ex, u.ey = d
+            u.ex, u.ey = dx, dy
             w.right = r
             if r is not None:
                 # r's new parent sits exactly d above u, so r.dx/dy stand
@@ -368,6 +356,26 @@ def _mink_chain(ch, small, sign, ep, track):
             u.right = w
             w.sz = 1 + _sz(r)
             u.sz += 1
+
+
+def _first(n, ax, ay, hit):
+    """Leftmost node at or below n where hit(node, x, y) holds, for a
+    predicate that holds on a suffix of the in-order sequence; (ax, ay) is
+    the absolute position of n's parent, (0, 0) at the root. Pushes tags on
+    the way down and returns (node, x, y), node None when hit holds nowhere."""
+    best = None
+    bx = by = 0
+    while n is not None:
+        _push(n)
+        x = ax + n.dx
+        y = ay + n.dy
+        if hit(n, x, y):
+            best, bx, by = n, x, y
+            n = n.left
+        else:
+            n = n.right
+        ax, ay = x, y
+    return best, bx, by
 
 
 def _locate(ch, vx, vy):
@@ -399,7 +407,7 @@ def _locate(ch, vx, vy):
     return pred, ppx, ppy, succ, ssx, ssy
 
 
-def _cut_left(ch, q):
+def _cut_left(q):
     """Discard everything in-order before q (q must be the root)."""
     gone = q.left
     if gone is not None:
@@ -408,7 +416,7 @@ def _cut_left(ch, q):
         q.sz -= gone.sz
 
 
-def _cut_right(ch, q):
+def _cut_right(q):
     gone = q.right
     if gone is not None:
         q.right = None
@@ -416,67 +424,49 @@ def _cut_right(ch, q):
         q.sz -= gone.sz
 
 
+def _hang_left(q, qx, qy, vx, vy, handle):
+    """Hang a new vertex v at (vx, vy) as q's empty left child, so it comes
+    right before q in order."""
+    w = _Node(vx - qx, vy - qy, handle)
+    w.ex, w.ey = qx - vx, qy - vy
+    w.par = q
+    q.left = w
+    q.sz += 1
+
+
 def _union_insert(ch, vx, vy, handle, sign):
     """Insert one vertex into a chain hull, excising what it dominates.
     sign +1 keeps the lower hull, -1 the upper. No-op when dominated."""
+
+    # Both predicates read the side of v against the line of a node's
+    # outgoing edge: a node keeps a convex turn toward v, or v cuts it away.
+    # The edgeless last node satisfies both.
+    def keeps(n, x, y):
+        return n.ex is None or sign * (n.ex * (vy - y) - n.ey * (vx - x)) > 0
+
+    def cuts(n, x, y):
+        return n.ex is None or sign * (n.ex * (vy - y) - n.ey * (vx - x)) <= 0
+
     pred, ppx, ppy, succ, ssx, ssy = _locate(ch, vx, vy)
     if succ is not None and ssx == vx and ssy == vy:
         return  # coincident vertex: keep the existing witness
     if pred is None:
-        # new first vertex: tangent is the first node keeping a convex turn
-        n = ch.root
-        ax = ay = 0
-        best = None
-        while n is not None:
-            _push(n)
-            x = ax + n.dx
-            y = ay + n.dy
-            if n.ex is None or sign * (
-                (x - vx) * (y + n.ey - vy) - (y - vy) * (x + n.ex - vx)
-            ) > 0:
-                best, bx, by = n, x, y
-                nxt = n.left
-            else:
-                nxt = n.right
-            if nxt is None:
-                break
-            ax, ay = x, y
-            n = nxt
-        _splay(ch, best)
-        _cut_left(ch, best)
-        w = _Node(vx - bx, vy - by, handle)
-        w.ex, w.ey = bx - vx, by - vy
-        w.par = best
-        best.left = w
-        best.sz += 1
+        # new first vertex: it links to the first node that keeps
+        q, qx, qy = _first(ch.root, 0, 0, keeps)
+        _splay(ch, q)
+        _cut_left(q)
+        _hang_left(q, qx, qy, vx, vy, handle)
         return
     if succ is None:
-        # new last vertex: cut from the first edge that v sees from below
-        n = ch.root
-        ax = ay = 0
-        best = None
-        while n is not None:
-            _push(n)
-            x = ax + n.dx
-            y = ay + n.dy
-            if n.ex is None or sign * (
-                n.ex * (vy - y) - n.ey * (vx - x)
-            ) <= 0:
-                best, bx, by = n, x, y
-                nxt = n.left
-            else:
-                nxt = n.right
-            if nxt is None:
-                break
-            ax, ay = x, y
-            n = nxt
-        _splay(ch, best)
-        _cut_right(ch, best)
-        w = _Node(vx - bx, vy - by, handle)
-        best.ex, best.ey = vx - bx, vy - by
-        w.par = best
-        best.right = w
-        best.sz += 1
+        # new last vertex: cut from the first node that v cuts
+        q, qx, qy = _first(ch.root, 0, 0, cuts)
+        _splay(ch, q)
+        _cut_right(q)
+        w = _Node(vx - qx, vy - qy, handle)
+        q.ex, q.ey = vx - qx, vy - qy
+        w.par = q
+        q.right = w
+        q.sz += 1
         return
     # bracketed: strict side test against the spanning edge
     c = (ssx - ppx) * (vy - ppy) - (ssy - ppy) * (vx - ppx)
@@ -486,51 +476,16 @@ def _union_insert(ch, vx, vy, handle, sign):
     # around the bracketing edge. The cut-side predicate is only monotone on
     # either side of that edge, so anchor the tangent searches at pred.
     _splay(ch, pred)
-    lt, ltx, lty = pred, ppx, ppy
-    n = pred.left
-    ax, ay = ppx, ppy
-    while n is not None:
-        _push(n)
-        x = ax + n.dx
-        y = ay + n.dy
-        if sign * (n.ex * (vy - y) - n.ey * (vx - x)) <= 0:
-            lt, ltx, lty = n, x, y
-            nxt = n.left
-        else:
-            nxt = n.right
-        if nxt is None:
-            break
-        ax, ay = x, y
-        n = nxt
-    if lt is not pred:
+    lt, ltx, lty = _first(pred.left, ppx, ppy, cuts)
+    if lt is None:
+        lt, ltx, lty = pred, ppx, ppy
+    else:
         _splay(ch, lt)
-    # right tangent: first node past lt that keeps a convex turn toward v
-    n = lt.right
-    ax, ay = ltx, lty
-    rt = None
-    while n is not None:
-        _push(n)
-        x = ax + n.dx
-        y = ay + n.dy
-        if n.ex is None or sign * (
-            n.ex * (vy - y) - n.ey * (vx - x)
-        ) > 0:
-            rt, rtx, rty = n, x, y
-            nxt = n.left
-        else:
-            nxt = n.right
-        if nxt is None:
-            break
-        ax, ay = x, y
-        n = nxt
+    rt, rtx, rty = _first(lt.right, ltx, lty, keeps)
     _splay(ch, rt, until=lt)
-    _cut_left(ch, rt)
-    w = _Node(vx - rtx, vy - rty, handle)
-    w.ex, w.ey = rtx - vx, rty - vy
+    _cut_left(rt)
+    _hang_left(rt, rtx, rty, vx, vy, handle)
     lt.ex, lt.ey = vx - ltx, vy - lty
-    w.par = rt
-    rt.left = w
-    rt.sz = 1 + _sz(rt.right) + 1  # w is a leaf
     lt.sz = 1 + _sz(lt.left) + rt.sz
 
 
@@ -566,9 +521,9 @@ def merge_union(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
         return a
     if a.count < b.count:
         a, b = b, a
-    for x, y, h in _chain_list(b.lo):
+    for (x, y), h in _chain_list(b.lo):
         _union_insert(a.lo, x, y, h if track else None, 1)
-    for x, y, h in _chain_list(b.up):
+    for (x, y), h in _chain_list(b.up):
         _union_insert(a.up, x, y, h if track else None, -1)
     a.track = track
     b.dead = True
@@ -597,7 +552,7 @@ def _settle(x):
     return poly
 
 
-def combine_any(kind, a, b, track=True):
+def combine_any(kind, a, b):
     """Merge two results that may each be a plain Polygon or an engine; the
     one place that picks between the kernel and the engine. kind: "+" for
     Minkowski sum, "u" for hull of union.
@@ -607,7 +562,8 @@ def combine_any(kind, a, b, track=True):
     larger by the engine, promoting Polygon operands. So the work of every
     merge is charged to its smaller side, as in Carlson-Eppstein's subtree
     merges. An empty operand empties a sum and drops out of a union without
-    touching the other side. Engine operands are consumed."""
+    touching the other side. Engine operands are consumed. The result
+    carries witnesses only when both operands do."""
     na, nb = _size(a), _size(b)
     if na == 0 or nb == 0:
         keep = EMPTY_POLYGON if kind == "+" else (b if na == 0 else a)
@@ -619,8 +575,8 @@ def combine_any(kind, a, b, track=True):
         op = _kernel_minkowski if kind == "+" else _kernel_union
         return op(_settle(a), _settle(b))
     if isinstance(a, Polygon):
-        a = SplayPolygon.from_polygon(a, track)
+        a = SplayPolygon.from_polygon(a)
     if isinstance(b, Polygon):
-        b = SplayPolygon.from_polygon(b, track)
+        b = SplayPolygon.from_polygon(b)
     op = merge_minkowski if kind == "+" else merge_union
     return op(a, b)

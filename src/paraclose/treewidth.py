@@ -23,7 +23,8 @@ import math
 from collections import deque
 
 from .errors import InputFormatError, LimitExceededError, StructureError
-from .polygon import EMPTY_POLYGON, Polygon, point
+from .polygon import EMPTY_POLYGON, Polygon, _is_int_pair
+from .poset import _check_id, _check_list
 from .splay import SplayPolygon, combine_any
 from .witness import wleaf
 
@@ -72,11 +73,15 @@ class TreeDecomposition:
         if not isinstance(data, dict) or "bags" not in data:
             raise InputFormatError('expected an object with "bags" and "edges"')
         bags = []
-        for k, b in enumerate(data["bags"]):
-            if not isinstance(b, dict) or "id" not in b or "elems" not in b:
-                raise InputFormatError(f'bag {k}: expected keys "id" and "elems"')
-            bags.append((b["id"], b["elems"]))
-        return TreeDecomposition(bags, data.get("edges", []))
+        for k, b in enumerate(_check_list(data, "bags")):
+            if not isinstance(b, dict) or "id" not in b or not isinstance(b.get("elems"), list):
+                raise InputFormatError(f'bag {k}: expected an "id" and an "elems" list')
+            bags.append((b["id"], [_check_id(e, f"bag {k}") for e in b["elems"]]))
+        edges = _check_list(data, "edges")
+        for e in edges:
+            if not _is_int_pair(e):
+                raise InputFormatError(f"bad decomposition edge {e!r}")
+        return TreeDecomposition(bags, edges)
 
 
 def validate_decomposition(d: TreeDecomposition, poset) -> None:
@@ -344,9 +349,7 @@ def eval_formula(f: Formula, poset, track=True) -> Polygon:
             return Polygon((node.weight,), wit)
         if k == "empty":
             return EMPTY_POLYGON
-        return combine_any(
-            "u" if k == "union" else "+", ev(node.left), ev(node.right), track
-        )
+        return combine_any("u" if k == "union" else "+", ev(node.left), ev(node.right))
 
     res = ev(f)
     return res.to_polygon() if isinstance(res, SplayPolygon) else res
@@ -396,8 +399,6 @@ def solve_treewidth(
     n = len(poset.ids)
     if n > max_n:
         raise LimitExceededError(f"instance has {n} elements, cap is {max_n}")
-    if n == 0:
-        return point((0, 0), wleaf(frozenset()) if track else None)
     if decomp is None:
         decomp = greedy_tree_decomposition(poset)
     if decomp.width > max_width:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import StructureError
 from .polygon import hull_of_points, hull_union, minkowski_sum, point
-from .witness import prefix_tags, wleaf, wunion
+from .witness import EMPTY, prefix_tags, wleaf, wunion
 
 # Emitted squares of side s hug two monotone staircases plus the grid
 # edge, so per side the count stays linear in N/s. Margins picked from
@@ -224,7 +224,7 @@ def _chain_tables(poset, chain, pts, size, track):
     [t*2^lvl, (t+1)*2^lvl - 1], relative to its first point, witnesses
     naming the chain slice taken."""
     m = len(chain)
-    base = point((0, 0), wleaf(frozenset()) if track else None)
+    base = point((0, 0), EMPTY if track else None)
     tables = [[base] * (m + 1)]
     lvl = 1
     while (1 << lvl) <= size:
@@ -234,7 +234,7 @@ def _chain_tables(poset, chain, pts, size, track):
         for t in range((m + 1) // s):
             a, mid = t * s, t * s + s // 2
             d = (pts[mid][0] - pts[a][0], pts[mid][1] - pts[a][1])
-            tag = wleaf(frozenset(chain[a:mid])) if track else None
+            tag = wleaf(chain[a:mid]) if track else None
             row.append(hull_union(prev[2 * t], prev[2 * t + 1].translate(d, tag)))
         tables.append(row)
         lvl += 1

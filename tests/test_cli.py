@@ -225,3 +225,38 @@ def test_profile_rejects_non_integer_coordinates(tmp_path, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and "[1.5, 2.7]" in err
+
+
+_DECOMP_POSET = {"elements": [{"id": "a", "weight": [1, 0]}], "relations": []}
+
+
+@pytest.mark.parametrize("sub, payload, decomposition", [
+    pytest.param("plot", {"pieces": [{}]}, None, id="plot-piece-without-keys"),
+    pytest.param("plot", {"pieces": [{"vertex": 5, "from": "-inf", "to": "inf"}]}, None,
+                 id="plot-vertex-not-a-pair"),
+    pytest.param("oracle", {"elements": 5}, None, id="oracle-elements-not-a-list"),
+    pytest.param("oracle", {"elements": [], "relations": 5}, None,
+                 id="oracle-relations-not-a-list"),
+    pytest.param("treewidth", _DECOMP_POSET, {"bags": 5}, id="treewidth-bags-not-a-list"),
+    pytest.param("treewidth", _DECOMP_POSET, {"bags": [{"id": 0, "elems": 5}]},
+                 id="treewidth-elems-not-a-list"),
+    pytest.param("treewidth", _DECOMP_POSET,
+                 {"bags": [{"id": 0, "elems": ["a"]}], "edges": [[0]]},
+                 id="treewidth-edge-not-a-pair"),
+    pytest.param("sp", {"root": {"id": "r"}, "edges": 5}, None, id="sp-tree-edges-not-a-list"),
+    pytest.param("incidence", {"vertices": [{"id": "u"}, {"id": "v"}], "edges": [{"ends": 5}]},
+                 None, id="incidence-ends-not-a-list"),
+    pytest.param("sp", {"leaf": {"id": [1], "weight": [1, 2]}}, None,
+                 id="sp-leaf-id-unhashable"),
+    pytest.param("semiorder", {"items": [{"id": [1], "utility": 0, "weight": [1, 2]}]}, None,
+                 id="semiorder-item-id-unhashable"),
+])
+def test_malformed_input_is_an_input_error(tmp_path, capsys, sub, payload, decomposition):
+    argv = [sub, _write(tmp_path, "in.json", payload), "--out", str(tmp_path / "out")]
+    if decomposition is not None:
+        argv += ["--decomposition", _write(tmp_path, "d.json", decomposition)]
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -13,7 +13,7 @@ from paraclose.witness import expand, wleaf
 
 
 def eng(poly, track=True):
-    return SplayPolygon.from_polygon(poly, track=track)
+    return SplayPolygon.from_polygon(poly if track else Polygon(poly.vertices))
 
 
 def test_roundtrip():
@@ -331,6 +331,17 @@ def test_combine_any_dispatch():
         with pytest.raises(RuntimeError):
             combine_any(kind, e, q)
     big = sized(200, "B", 0)
+    # witnesses survive a merge only when both operands carry them, on the
+    # kernel path (8 vs 8 vertices) and on the engine path (200 vs 1)
+    for tracked, bare, path in ((p, Polygon(q.vertices), Polygon),
+                                (big, point((1, 2)), SplayPolygon)):
+        for kind, op in (("+", minkowski_sum), ("u", hull_union)):
+            for a, b in ((tracked, bare), (bare, tracked)):
+                got = combine_any(kind, a, b)
+                assert isinstance(got, path)
+                if path is SplayPolygon:
+                    got = got.to_polygon()
+                assert got == op(tracked, bare) and got.wit is None
     got = combine_any("+", big, point((1, 2), wleaf({"x"})))
     assert isinstance(got, SplayPolygon)
     assert got.to_polygon() == big.translate((1, 2))

@@ -313,3 +313,5 @@ def test_empty_poset():
     got = solve_treewidth(p)
     assert got.vertices == ((0, 0),)
     assert got.witness_sets() == [frozenset()]
+    bare = solve_treewidth(p, track=False)
+    assert bare.vertices == ((0, 0),) and bare.wit is None
