@@ -83,12 +83,92 @@ def _load(path):
 
 
 def _emit_json(args, obj):
-    text = json.dumps(obj, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as f:
-            f.write(text)
+    """Write the bytes of json.dumps(obj, indent=2) plus a newline to
+    --out or stdout, streamed one list or object at a time, so the whole
+    text is never held at once. A --out file the writer fails part way
+    through is removed: a partial payload must not pass for a whole one."""
+    if not getattr(args, "out", None):
+        sys.stdout.writelines(_json_chunks(obj, ""))
+        sys.stdout.write("\n")
+        return
+    f = open(args.out, "w")
+    try:
+        with f:
+            f.writelines(_json_chunks(obj, ""))
+            f.write("\n")
+    except BaseException:
+        if os.path.isfile(args.out):
+            os.remove(args.out)
+        raise
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _json_chunks(obj, ind):
+    """The text of json.dumps(obj, indent=2) at indentation ind, one list
+    or object at a time. (With an indent, json.dumps runs its pure-Python
+    encoder, which keeps every piece and the joined text alive together.)"""
+    if isinstance(obj, (list, tuple)):
+        text = _flat_list(obj, ind)
+        if text is not None:
+            yield text
+            return
+        items = (("", v) for v in obj)
+        sep, close = "[\n", "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        items = ((_json_key(k), v) for k, v in obj.items())
+        sep, close = "{\n", "}"
     else:
-        sys.stdout.write(text)
+        yield json.dumps(obj)
+        return
+    inner = ind + "  "
+    sep += inner
+    for key, v in items:
+        if isinstance(v, (list, tuple)):
+            text = _flat_list(v, inner)
+        elif isinstance(v, dict):
+            text = None
+        else:
+            text = json.dumps(v)
+        if text is None:
+            yield sep + key
+            yield from _json_chunks(v, inner)
+        else:
+            yield sep + key + text
+        sep = ",\n" + inner
+    yield "\n" + ind + close
+
+
+def _flat_list(lst, ind):
+    """The indented text of a list that holds no container, else None.
+
+    Plain ints (not bools) are joined from int.__repr__; any other scalars
+    take one call of the C encoder, whose item separator carries the
+    newline and indentation, with the brackets re-framed."""
+    if not lst:
+        return "[]"
+    inner = ind + "  "
+    types = set(map(type, lst))
+    if types == {int}:
+        return "[\n" + inner + (",\n" + inner).join(map(int.__repr__, lst)) + "\n" + ind + "]"
+    if types <= _SCALARS:
+        text = json.dumps(lst, separators=(",\n" + inner, ": "))
+        return "[\n" + inner + text[1:-1] + "\n" + ind + "]"
+    return None
+
+
+def _json_key(k):
+    # json writes int, float, bool and None keys as the string of their
+    # JSON form, and refuses any other key
+    if not isinstance(k, str):
+        if k is not None and not isinstance(k, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+        k = json.dumps(k)
+    return json.dumps(k) + ": "
 
 
 def _check_oracle(args, n, build_poset, got):

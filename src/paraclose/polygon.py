@@ -23,7 +23,7 @@ import functools
 from operator import itemgetter
 
 from .errors import InputFormatError
-from .witness import expand_all, wleaf, wunion
+from .witness import EMPTY, chain, expand_all, wleaf, wunion
 
 
 def cross(o, a, b):
@@ -375,70 +375,68 @@ def segment_zonotope(generators, gen_ids=None):
 
     generators: iterable of integer pairs; zero vectors are skipped (their
     elements are simply left out of every witness, which is always valid).
-    gen_ids: optional parallel list of ids used to build vertex witnesses as
-    explicit sets. Witnesses are tracked exactly when gen_ids is given; their
-    cost is O(k^2) in the worst case, so leave gen_ids out for geometry-only
-    runs.
+    gen_ids: optional parallel list of ids naming the generators. Witnesses
+    are tracked exactly when gen_ids is given, as four shared chains of
+    witness nodes (witness.chain): O(k) nodes for k generators.
 
     Returns a canonical polygon with at most 2k vertices.
     """
     gens = []
-    track = gen_ids is not None
     base_x = base_y = 0
-    base_ids = set()
+    track = gen_ids is not None
     for idx, g in enumerate(generators):
         gx, gy = g
         if gx == 0 and gy == 0:
             continue
+        gid = gen_ids[idx] if track else None
         if half((gx, gy)) == 1:
             # Normalize to half 0; a flipped generator is "taken" at lexmin.
             base_x += gx
             base_y += gy
-            gens.append(((-gx, -gy), idx, True))
-            if track:
-                base_ids.add(gen_ids[idx])
+            gens.append(((-gx, -gy), gid, True))
         else:
-            gens.append(((gx, gy), idx, False))
+            gens.append(((gx, gy), gid, False))
     if not gens:
-        w = (wleaf(base_ids),) if track else None
-        return Polygon(((base_x, base_y),), w)
+        return Polygon(((base_x, base_y),), (EMPTY,) if track else None)
     if len(gens) == 2:
         if _dir_cmp(gens[0], gens[1]) > 0:
             gens.reverse()
     elif len(gens) > 2:
         gens.sort(key=_dir_sort_key)
-    # Group parallel generators: one edge per direction class, grown in place.
+    # Group parallel generators: one edge per direction class, grown in
+    # place, with the ids of its kept and of its flipped generators.
     groups = []
-    for d, idx, flipped in gens:
+    for d, gid, flipped in gens:
         if groups and crossv(groups[-1][0], d) == 0:
             group = groups[-1]
             pd = group[0]
             group[0] = (pd[0] + d[0], pd[1] + d[1])
-            group[1].append((idx, flipped))
         else:
-            groups.append([d, [(idx, flipped)]])
+            group = [d, [], []]
+            groups.append(group)
+        group[2 if flipped else 1].append(gid)
     verts = [(base_x, base_y)]
-    wits = None
-    if track:
-        cur = set(base_ids)
-        wits = [wleaf(cur)]
     # Walk half 0 (forward edges) then half 1 (the same directions reversed).
     for sign in (1, -1):
-        for d, items in groups:
+        for d, _, _ in groups:
             x, y = verts[-1]
             verts.append((x + sign * d[0], y + sign * d[1]))
-            if track:
-                for idx, flipped in items:
-                    taking = (sign == 1) != flipped
-                    if taking:
-                        cur.add(gen_ids[idx])
-                    else:
-                        cur.discard(gen_ids[idx])
-                wits.append(wleaf(cur))
     assert verts[-1] == verts[0]
     verts.pop()
-    if track:
-        wits.pop()
+    if not track:
+        return Polygon(verts)
+    # A forward step over group j takes its kept generators K_j and drops
+    # its flipped ones F_j; a backward step does the reverse. So forward
+    # vertex j holds K_0..K_{j-1} and F_j..F_{m-1}, and backward vertex
+    # m + j holds K_j..K_{m-1} and F_0..F_{j-1}: one union of a prefix and
+    # a suffix chain each.
+    kept = [wleaf(k) for _, k, _ in groups]
+    flip = [wleaf(f) for _, _, f in groups]
+    kpre, fpre = chain(kept), chain(flip)
+    ksuf, fsuf = chain(reversed(kept))[::-1], chain(reversed(flip))[::-1]
+    m = len(groups)
+    wits = [wunion(a, b) for a, b in zip(kpre[:m], fsuf)]
+    wits += [wunion(a, b) for a, b in zip(ksuf[:m], fpre)]
     return Polygon(verts, wits)
 
 

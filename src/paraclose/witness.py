@@ -5,6 +5,12 @@ witnesses of existing vertices thousands of times, so witnesses are kept as
 nodes in a shared DAG (leaf = explicit id set, union = disjoint combination)
 and only expanded to concrete id sets on demand.
 
+A run of growing sets, such as the prefixes of a sequence, is one chain:
+chain(handles) gives the unions of handles[:k] for every k, each one node over
+the previous, so all of them together cost as many nodes as there are handles.
+The semiorder's prefix hull, the width-2 solver's chain prefixes and the four
+prefix/suffix runs behind every segment zonotope's vertices are built this way.
+
 All the handles of one polygon (or profile) are expanded together by
 expand_all: one postorder walk over the DAG they share gives every id one bit
 and every node the OR of its children's masks, each node computed once for
@@ -54,13 +60,19 @@ def wunion(a, b):
     return WUnion(a, b)
 
 
+def chain(handles) -> list:
+    """Handles of the unions of handles[:k] for k = 0..len(handles), each
+    one node over the one before: n + 1 handles in O(n) nodes rather than
+    O(n^2) ids."""
+    out = [EMPTY]
+    for h in handles:
+        out.append(wunion(out[-1], h))
+    return out
+
+
 def prefix_tags(items) -> list:
-    """Handles of the prefixes items[:k] for k = 0..len(items), as one chain
-    of shared nodes: n + 1 handles in O(n) nodes rather than O(n^2) ids."""
-    tags = [EMPTY]
-    for x in items:
-        tags.append(wunion(tags[-1], wleaf((x,))))
-    return tags
+    """Handles of the prefixes items[:k] for k = 0..len(items)."""
+    return chain(wleaf((x,)) for x in items)
 
 
 # '0'/'1' digits of bin() to the 0/1 bytes that compress() selects on

@@ -79,3 +79,45 @@ def random_polygon(rng, kmax=12, span=40, label="pt"):
     k = rng.randint(1, kmax)
     pts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(k)]
     return hull_of_points(pts, [wleaf({(label, i)}) for i in range(k)])
+
+
+def slow_zonotope_witnesses(gens, ids):
+    """Vertex witnesses of segment_zonotope(gens, ids), in its vertex order,
+    by the explicit walk: start from the set of generators that point into
+    the lower half-turn, then step through the parallel classes by angle,
+    taking or dropping each class's generators and copying the whole set at
+    every vertex (O(k^2) ids). Zero generators are in no set."""
+    from functools import cmp_to_key
+
+    cur = set()
+    items = []
+    for (gx, gy), i in zip(gens, ids):
+        if (gx, gy) == (0, 0):
+            continue
+        if gx > 0 or (gx == 0 and gy > 0):
+            items.append(((gx, gy), i, False))
+        else:
+            items.append(((-gx, -gy), i, True))
+            cur.add(i)
+
+    def by_angle(a, b):
+        c = a[0][0] * b[0][1] - a[0][1] * b[0][0]
+        return -1 if c > 0 else (1 if c < 0 else 0)
+
+    classes = []
+    for item in sorted(items, key=cmp_to_key(by_angle)):
+        if classes and by_angle(classes[-1][0], item) == 0:
+            classes[-1].append(item)
+        else:
+            classes.append([item])
+    wits = [frozenset(cur)]
+    for forward in (True, False):
+        for members in classes:
+            for _, i, flipped in members:
+                if forward != flipped:
+                    cur.add(i)
+                else:
+                    cur.discard(i)
+            wits.append(frozenset(cur))
+    # the walk ends where it started; with no classes it is one point
+    return wits[:-1] if classes else wits

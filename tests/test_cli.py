@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paraclose
 from paraclose import cli
@@ -178,6 +183,109 @@ def test_out_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text())["vertices"]
+
+
+_TRICKY_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\u2028\U0001f600'))
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.text()
+    | _TRICKY_TEXT
+)
+_KEYS = st.text() | _TRICKY_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_PAYLOADS = st.recursive(
+    _SCALARS | st.lists(st.integers() | st.text()),
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_KEYS, kids),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_PAYLOADS)
+def test_writer_matches_json_dumps_indent_2(tmp_path_factory, obj):
+    want = json.dumps(obj, indent=2) + "\n"
+    target = tmp_path_factory.getbasetemp() / "emitted.json"
+    cli._emit_json(SimpleNamespace(out=str(target)), obj)
+    assert target.read_bytes() == want.encode()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._emit_json(SimpleNamespace(out=None), obj)
+    assert stdout.getvalue() == want
+
+
+def test_writer_holds_one_list_at_a_time(tmp_path):
+    # ~300k string ids in 600 witness lists; json.dumps(indent=2) held
+    # every piece of the text and then the text itself
+    import tracemalloc
+
+    payload = {
+        "vertices": [[i, -i] for i in range(600)],
+        "witnesses": [[f"e{i}" for i in range(j, j + 500)] for j in range(600)],
+    }
+    size = len(json.dumps(payload, indent=2))
+    target = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        cli._emit_json(SimpleNamespace(out=str(target)), payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size == size + 1
+    assert peak < size / 2, (peak, size)
+
+
+@pytest.mark.parametrize(
+    "sub", ["sp", "semiorder", "width2", "profile", "optimize", "incidence", "oracle", "gen"]
+)
+def test_stdout_and_out_write_the_same_bytes(tmp_path, capsys, sub):
+    if sub == "gen":
+        argv = ["gen", "--class", "width2", "--n", "9", "--seed", "3"]
+    elif sub == "sp":
+        sp = {"series": [
+            {"leaf": {"id": "a", "weight": [1, 2]}},
+            {"parallel": [{"leaf": {"id": "b", "weight": [3, -4]}},
+                          {"leaf": {"id": 7, "weight": [-2, 1]}}]},
+        ]}
+        argv = [sub, _write(tmp_path, "sp.json", sp)]
+    elif sub == "semiorder":
+        _, text, _ = _run(capsys, "gen", "--class", "semiorder", "--n", "8", "--seed", "1")
+        argv = [sub, _write(tmp_path, "s.json", json.loads(text))]
+    elif sub == "incidence":
+        g = {
+            "vertices": [{"id": "u", "weight": [1, 0]}, {"id": "v", "weight": [0, 1]}],
+            "edges": [{"ends": ["u", "v"], "weight": [5, 5]}],
+        }
+        argv = [sub, _write(tmp_path, "g.json", g)]
+    elif sub in ("profile", "optimize"):
+        _, poly, _ = _run(capsys, "oracle", _write(tmp_path, "p.json", POSET))
+        argv = [sub, _write(tmp_path, "poly.json", json.loads(poly))]
+        if sub == "optimize":
+            argv += ["--objective", "dist2"]
+    else:
+        argv = [sub, _write(tmp_path, "p.json", POSET)]
+    rc, out, _ = _run(capsys, *argv)
+    assert rc == 0
+    target = tmp_path / "out.json"
+    rc, quiet, _ = _run(capsys, *argv, "--out", str(target))
+    assert rc == 0 and quiet == ""
+    assert target.read_bytes() == out.encode()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_failed_write_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    # the writer gets part way, then meets a value json cannot encode
+    payload = {"ok": list(range(1000)), "bad": [1, object()]}
+    monkeypatch.setitem(cli._GEN, "sp", lambda rng, args: payload)
+    target = tmp_path / "out.json"
+    for existed in (False, True):
+        if existed:
+            target.write_text("{}\n")
+        with pytest.raises(TypeError):
+            cli.run(["gen", "--class", "sp", "--n", "3", "--out", str(target)])
+        assert not target.exists()
 
 
 def test_semiorder_builds_its_order_only_for_the_oracle(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_polygon, slow_hull, slow_minkowski, slow_union, slow_zonotope
+from oracles import (
+    random_polygon,
+    slow_hull,
+    slow_minkowski,
+    slow_union,
+    slow_zonotope,
+    slow_zonotope_witnesses,
+)
 from paraclose.errors import InputFormatError
 from paraclose.polygon import (
     EMPTY_POLYGON,
@@ -16,7 +23,7 @@ from paraclose.polygon import (
     point,
     segment_zonotope,
 )
-from paraclose.witness import expand, wleaf
+from paraclose.witness import WUnion, expand, wleaf
 
 points_strategy = st.lists(
     st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=0, max_size=14
@@ -157,19 +164,71 @@ def test_zonotope_many_parallel_generators():
 
 def test_zonotope_random_vs_oracle():
     rng = random.Random(17)
-    for _ in range(200):
+    for trial in range(400):
         k = rng.randint(0, 10)
-        gens = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(k)]
+        if trial % 2:
+            gens = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(k)]
+        else:
+            # few directions, each taken with both signs: parallel classes
+            # that mix kept and flipped generators, and zero vectors
+            dirs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+            gens = []
+            for _ in range(k):
+                (dx, dy), m = rng.choice(dirs), rng.choice((-2, -1, 1, 3))
+                gens.append((m * dx, m * dy))
         ids = [f"g{i}" for i in range(k)]
         got = segment_zonotope(gens, ids)
         assert got.vertices == slow_zonotope(gens)
         assert is_canonical(got)
         assert len(got) <= max(1, 2 * k)
+        assert got.witness_sets() == slow_zonotope_witnesses(gens, ids)
         # each witness is a subset of generators summing to its vertex
         for v, ids_here in zip(got.vertices, got.witness_sets()):
             sx = sum(gens[int(g[1:])][0] for g in ids_here)
             sy = sum(gens[int(g[1:])][1] for g in ids_here)
             assert (sx, sy) == v
+
+
+def test_zonotope_witness_dag_is_linear():
+    # k general generators, about half of them flipped: the witnesses of
+    # the 2k vertices share one leaf per generator, at most 2k chain nodes
+    # and at most one union per vertex, where explicit sets would hold
+    # about k^2 ids
+    import time
+
+    rng = random.Random(5)
+    k = 8000
+    gens = [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(k)]
+    ids = list(range(k))
+    times = {}
+    for track in (False, True):
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            z = segment_zonotope(gens, ids if track else None)
+            best = min(best, time.perf_counter() - t0)
+        times[track] = best
+    assert len(z) == 2 * k
+    assert times[True] < 4 * times[False] + 0.2, times
+    leaves = unions = 0
+    seen = set()
+    stack = list(z.wit)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if type(node) is WUnion:
+            unions += 1
+            stack += (node.left, node.right)
+        else:
+            leaves += 1
+    assert leaves <= k
+    assert unions <= 4 * k
+    # spot-check a few vertices against their generators
+    for j in rng.sample(range(2 * k), 20):
+        ws = expand(z.wit[j])
+        assert (sum(gens[i][0] for i in ws), sum(gens[i][1] for i in ws)) == z.vertices[j]
 
 
 def test_translate_tags_witnesses():
