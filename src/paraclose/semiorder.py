@@ -18,13 +18,11 @@ keeps the total segment mass near-linear instead of quadratic.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .errors import InputFormatError
 from .parametric import rat, rat_str
 from .polygon import Polygon, hull_of_points, segment_zonotope
 from .poset import _check_id, _check_weight, semiorder_poset
-from .splay import SplayPolygon, combine_any
+from .splay import combine_any, settle
 from .witness import prefix_tags, wleaf
 
 # Squares of side l that get subdivided hug a few monotone staircases, so
@@ -32,9 +30,6 @@ from .witness import prefix_tags, wleaf
 # the classification logic regressed, not that the input is bad.
 SPLIT_COEFF = 6
 SPLIT_SLACK = 8
-
-
-GridSquare = namedtuple("GridSquare", ("origin", "side"))
 
 
 class Semiorder:
@@ -98,30 +93,6 @@ class Semiorder:
                 )
             triples.append((_check_id(it["id"], f"item {k}"), it["utility"], it["weight"]))
         return Semiorder(triples)
-
-
-def extremes(s: Semiorder, lower) -> tuple:
-    """Grid point (p, q) of a nonempty lower set: q its largest index, p-1
-    the smallest index below q left out, p = 0 when none is missing."""
-    if not lower:
-        raise InputFormatError("the empty lower set has no extremes point")
-    idxs = {s.index[x] for x in lower}
-    j = max(idxs)
-    i = -1
-    for t in range(j):
-        if t not in idxs:
-            i = t
-            break
-    return (i + 1, j)
-
-
-def freeset(s: Semiorder, square: GridSquare) -> set:
-    """Elements strictly between a square's row block and column block; they
-    are free to include or drop in every lower set the square captures."""
-    (i0, j0), side = square
-    lo = max(i0 + side, 0)
-    hi = min(j0, len(s))
-    return {s.ids[t] for t in range(lo, hi)}
 
 
 def solve_semiorder(s: Semiorder, track=True) -> Polygon:
@@ -223,9 +194,7 @@ def solve_semiorder(s: Semiorder, track=True) -> Polygon:
     pts = [(px[k], py[k]) for k in range(n + 1)]
     wits = prefix_tags(ids) if track else None
     prefixes = hull_of_points(pts, wits)
-    res = prefixes if body is None else combine_any("u", body, prefixes)
-    if isinstance(res, SplayPolygon):
-        res = res.to_polygon()
+    res = settle(prefixes if body is None else combine_any("u", body, prefixes))
     for side, cnt in splits.items():
         if cnt > SPLIT_COEFF * nn // side + SPLIT_SLACK:
             raise AssertionError(

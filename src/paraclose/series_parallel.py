@@ -20,7 +20,7 @@ import json
 from .errors import InputFormatError
 from .polygon import Polygon
 from .poset import Poset, _check_id, _check_list, _check_weight
-from .splay import SplayPolygon, combine_any
+from .splay import combine_any, settle
 from .witness import EMPTY, wleaf, wunion
 
 LEAF = "leaf"
@@ -30,8 +30,10 @@ PARALLEL = "parallel"
 
 class SPTree:
     """One node of a series-parallel decomposition tree. Leaves carry an
-    element id and weight; internal nodes cache subtree element count and
-    total weight so series translation offsets are O(1)."""
+    element id and weight, the weight checked here (InputFormatError unless
+    it is a pair of integers) and kept as a tuple; internal nodes cache
+    subtree element count and total weight so series translation offsets
+    are O(1)."""
 
     __slots__ = ("kind", "left", "right", "id", "weight", "count", "total")
 
@@ -40,18 +42,18 @@ class SPTree:
         self.left = left
         self.right = right
         self.id = id
-        self.weight = weight
         if kind == LEAF:
+            self.weight = self.total = _check_weight(weight, f"leaf {id!r}")
             self.count = 1
-            self.total = weight
         else:
+            self.weight = weight
             self.count = left.count + right.count
             self.total = (left.total[0] + right.total[0],
                           left.total[1] + right.total[1])
 
 
 def leaf(id, weight):
-    return SPTree(LEAF, id=id, weight=_check_weight(weight, f"leaf {id!r}"))
+    return SPTree(LEAF, id=id, weight=weight)
 
 
 def series(left, right):
@@ -171,15 +173,16 @@ def solve_sp(t, track=True) -> Polygon:
     plain kernel, and a much smaller side is merged into a splay engine
     holding the larger one.
 
-    Automatic cyclic GC is paused for the build. A tracked solve allocates
-    a witness DAG of a few objects per element that all stay alive, so each
-    generation-2 collection rescans the whole growing heap (next to the
-    input tree) while finding almost nothing to free. GC is re-enabled on
-    return, or on an exception, only if it was enabled on entry; the
-    splay trees' parent-pointer cycles left behind are collected after the
-    solve. Caveat: the GC switch is interpreter-wide, so a gc.disable()
-    made by another thread while this solve runs is undone when it
-    re-enables GC.
+    Automatic cyclic GC is paused for the build, for the sake of the live
+    witness DAG alone: a tracked solve allocates a few objects per element
+    that all stay alive, so each generation-2 collection would rescan the
+    whole growing heap (next to the input tree) while finding nothing to
+    free. The merges leave no garbage cycles behind, since the splay engine
+    unlinks each tree it consumes or cuts away and reference counting frees
+    it on the spot. GC is re-enabled on return, or on an exception, only if
+    it was enabled on entry. Caveat: the GC switch is interpreter-wide, so
+    a gc.disable() made by another thread while this solve runs is undone
+    when it re-enables GC.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -211,8 +214,7 @@ def _solve_sp(t, track):
             if track:
                 allw[id(node)] = wunion(allw[id(node.left)],
                                         allw[id(node.right)])
-    res = acc[id(t)]
-    return res if isinstance(res, Polygon) else res.to_polygon()
+    return settle(acc[id(t)])
 
 
 def tree_to_sp(data):

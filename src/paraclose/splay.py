@@ -19,7 +19,17 @@ skips the position bookkeeping that _first carries.
 Built for merges where only the smaller argument should cost: the sum merge
 inserts the small polygon's edges into the big chain by slope, the union
 merge inserts the small polygon's vertices and excises what they dominate.
-Both destroy their arguments and recycle the larger tree.
+Both recycle the larger tree and take the smaller side as its two chains of
+(point, handle) pairs. combine_any reads those straight off a small Polygon,
+which stays as it was, so a one- or two-vertex leaf never becomes a tree;
+only a small engine is read out of its trees. Sizes live on the chains, one
+vertex count each, not in the nodes: an insertion adds one, and a union cut
+counts off the subtree it discards.
+
+A consumed engine, and every subtree a union cut discards, is unlinked as it
+dies: a walk over its nodes clears their parent pointers, so reference
+counting frees the tree at once. Nothing the engine leaves behind needs the
+cyclic GC. The walk costs what building or inserting those nodes cost.
 
 Witnesses are carried as lazily pushed tags. A tag is (acc, cur, ep, rep):
 acc is settled, cur is the pairing handle of merge epoch ep, and rep is the
@@ -34,7 +44,7 @@ tree with the larger tree's counter, so an incoming tag is never older than
 a stored one.
 
 The module-level rotation counter feeds the performance checks; every single
-rotation counts once.
+rotation counts once, added up per splay.
 """
 
 from __future__ import annotations
@@ -61,7 +71,6 @@ class _Node:
         "par", "left", "right",
         "dx", "dy",          # position relative to parent; absolute at root
         "ex", "ey",          # edge vector to in-order successor; ex None at the last node
-        "sz",
         "base",              # own witness handle
         "tacc", "tcur", "tep",        # tag applied to this vertex
         "pacc", "pcur", "pep", "prep",  # tag owed to the children
@@ -73,7 +82,6 @@ class _Node:
         self.dy = dy
         self.ex = None
         self.ey = 0
-        self.sz = 1
         self.base = base
         self.tacc = self.tcur = None
         self.tep = -1
@@ -118,16 +126,10 @@ def _handle(n):
     return wunion(n.base, wunion(n.tacc, n.tcur))
 
 
-def _sz(n):
-    return 0 if n is None else n.sz
-
-
 def _rotate(x):
     """Single rotation moving x above its parent, fixing relative positions:
     x picks up the parent's offset, the parent becomes relative to x, and the
     transplanted middle subtree keeps its absolute position."""
-    global STEPS
-    STEPS += 1
     p = x.par
     g = p.par
     xdx, xdy = x.dx, x.dy
@@ -154,60 +156,76 @@ def _rotate(x):
             g.left = x
         else:
             g.right = x
-    p.sz = _sz(p.left) + _sz(p.right) + 1
-    x.sz = _sz(x.left) + _sz(x.right) + 1
 
 
 def _splay(ch, x, until=None):
     """Splay x upward until its parent is `until` (None: to the root).
     The access path must already be pushed, which every search guarantees."""
+    global STEPS
+    steps = 0
     while x.par is not until:
         p = x.par
         g = p.par
         if g is until:
             _rotate(x)
+            steps += 1
         elif (g.left is p) == (p.left is x):
             _rotate(p)
             _rotate(x)
+            steps += 2
         else:
             _rotate(x)
             _rotate(x)
+            steps += 2
+    STEPS += steps
     if until is None:
         ch.root = x
 
 
 class _Chain:
-    __slots__ = ("root",)
+    __slots__ = ("root", "n")
 
-    def __init__(self, root=None):
+    def __init__(self, root, n):
         self.root = root
+        self.n = n  # vertex count
 
-    @property
-    def size(self):
-        return 0 if self.root is None else self.root.sz
+
+def _build(items, lo, hi, pax, pay, par):
+    """Balanced subtree over items[lo:hi], positioned relative to (pax, pay)."""
+    if lo >= hi:
+        return None
+    mid = (lo + hi) // 2
+    (x, y), base = items[mid]
+    node = _Node(x - pax, y - pay, base)
+    node.par = par
+    if mid + 1 < len(items):
+        nx, ny = items[mid + 1][0]
+        node.ex = nx - x
+        node.ey = ny - y
+    node.left = _build(items, lo, mid, x, y, node)
+    node.right = _build(items, mid + 1, hi, x, y, node)
+    return node
 
 
 def _build_chain(items):
     """Balanced tree from lex-sorted (point, handle) pairs."""
-    n = len(items)
+    return _Chain(_build(items, 0, len(items), 0, 0, None), len(items))
 
-    def rec(lo, hi, pax, pay, par):
-        if lo >= hi:
-            return None
-        mid = (lo + hi) // 2
-        (x, y), base = items[mid]
-        node = _Node(x - pax, y - pay, base)
-        node.par = par
-        if mid + 1 < n:
-            nx, ny = items[mid + 1][0]
-            node.ex = nx - x
-            node.ey = ny - y
-        node.left = rec(lo, mid, x, y, node)
-        node.right = rec(mid + 1, hi, x, y, node)
-        node.sz = hi - lo
-        return node
 
-    return _Chain(rec(0, n, 0, 0, None))
+def _unlink(n):
+    """Clear the parent pointers of the subtree at node n, so that reference
+    counting frees it once nothing outside points in; returns its size."""
+    count = 0
+    stack = [n]
+    while stack:
+        n = stack.pop()
+        n.par = None
+        count += 1
+        if n.left is not None:
+            stack.append(n.left)
+        if n.right is not None:
+            stack.append(n.right)
+    return count
 
 
 def _chain_list(ch):
@@ -262,12 +280,27 @@ class SplayPolygon:
     def count(self):
         if self.lo is None:
             return 0
-        ls = self.lo.size
-        return 1 if ls == 1 else ls + self.up.size - 2
+        ls = self.lo.n
+        return 1 if ls == 1 else ls + self.up.n - 2
 
     def _check(self):
         if self.dead:
             raise RuntimeError("polygon was consumed by a merge")
+
+    def _consume(self):
+        """Lower and upper chains as lists of (point, handle) pairs, the
+        kernel's chain format, with the engine marked consumed. Its trees
+        are unlinked and dropped, so reference counting frees them at once
+        instead of leaving parent-pointer cycles to the cyclic GC."""
+        self._check()
+        chains = [], []
+        if self.lo is not None:
+            chains = _chain_list(self.lo), _chain_list(self.up)
+            _unlink(self.lo.root)
+            _unlink(self.up.root)
+        self.lo = self.up = None
+        self.dead = True
+        return chains
 
     def translate(self, d, tag=None):
         self._check()
@@ -285,14 +318,21 @@ class SplayPolygon:
         return self
 
     def to_polygon(self) -> Polygon:
+        """The polygon held, leaving the engine usable; settle() reads the
+        final result of a solve and frees the trees."""
         self._check()
         if self.lo is None:
             return EMPTY_POLYGON
-        low = _chain_list(self.lo)
-        upp = _chain_list(self.up)
-        assert low[0][0] == upp[0][0] and low[-1][0] == upp[-1][0]
-        seq = low + upp[1:-1][::-1]
-        return Polygon([p for p, _ in seq], [h for _, h in seq] if self.track else None)
+        return _polygon(_chain_list(self.lo), _chain_list(self.up), self.track)
+
+
+def _polygon(low, upp, track):
+    """Polygon from its lower and upper (point, handle) chains."""
+    if not low:
+        return EMPTY_POLYGON
+    assert low[0][0] == upp[0][0] and low[-1][0] == upp[-1][0]
+    seq = low + upp[1:-1][::-1]
+    return Polygon([p for p, _ in seq], [h for _, h in seq] if track else None)
 
 
 def _find_slope(ch, dx, dy, sign):
@@ -354,8 +394,7 @@ def _mink_chain(ch, small, sign, ep, track):
                     _tag(r, None, vh, ep, ep)
             w.par = u
             u.right = w
-            w.sz = 1 + _sz(r)
-            u.sz += 1
+            ch.n += 1
 
 
 def _first(n, ax, ay, hit):
@@ -407,31 +446,30 @@ def _locate(ch, vx, vy):
     return pred, ppx, ppy, succ, ssx, ssy
 
 
-def _cut_left(q):
-    """Discard everything in-order before q (q must be the root)."""
+def _cut_left(ch, q):
+    """Discard q's left subtree, the vertices just before q, and count them
+    off ch; the walk that counts them is paid for by their insertion."""
     gone = q.left
     if gone is not None:
         q.left = None
-        gone.par = None
-        q.sz -= gone.sz
+        ch.n -= _unlink(gone)
 
 
-def _cut_right(q):
+def _cut_right(ch, q):
     gone = q.right
     if gone is not None:
         q.right = None
-        gone.par = None
-        q.sz -= gone.sz
+        ch.n -= _unlink(gone)
 
 
-def _hang_left(q, qx, qy, vx, vy, handle):
+def _hang_left(ch, q, qx, qy, vx, vy, handle):
     """Hang a new vertex v at (vx, vy) as q's empty left child, so it comes
     right before q in order."""
     w = _Node(vx - qx, vy - qy, handle)
     w.ex, w.ey = qx - vx, qy - vy
     w.par = q
     q.left = w
-    q.sz += 1
+    ch.n += 1
 
 
 def _union_insert(ch, vx, vy, handle, sign):
@@ -454,19 +492,19 @@ def _union_insert(ch, vx, vy, handle, sign):
         # new first vertex: it links to the first node that keeps
         q, qx, qy = _first(ch.root, 0, 0, keeps)
         _splay(ch, q)
-        _cut_left(q)
-        _hang_left(q, qx, qy, vx, vy, handle)
+        _cut_left(ch, q)
+        _hang_left(ch, q, qx, qy, vx, vy, handle)
         return
     if succ is None:
         # new last vertex: cut from the first node that v cuts
         q, qx, qy = _first(ch.root, 0, 0, cuts)
         _splay(ch, q)
-        _cut_right(q)
+        _cut_right(ch, q)
         w = _Node(vx - qx, vy - qy, handle)
         q.ex, q.ey = vx - qx, vy - qy
         w.par = q
         q.right = w
-        q.sz += 1
+        ch.n += 1
         return
     # bracketed: strict side test against the spanning edge
     c = (ssx - ppx) * (vy - ppy) - (ssy - ppy) * (vx - ppx)
@@ -483,10 +521,32 @@ def _union_insert(ch, vx, vy, handle, sign):
         _splay(ch, lt)
     rt, rtx, rty = _first(lt.right, ltx, lty, keeps)
     _splay(ch, rt, until=lt)
-    _cut_left(rt)
-    _hang_left(rt, rtx, rty, vx, vy, handle)
+    _cut_left(ch, rt)
+    _hang_left(ch, rt, rtx, rty, vx, vy, handle)
     lt.ex, lt.ey = vx - ltx, vy - lty
-    lt.sz = 1 + _sz(lt.left) + rt.sz
+
+
+def _sum_into(a, lo, up, track):
+    """Minkowski sum of engine a and the polygon with lex-sorted (point,
+    handle) chains lo and up, in place: costs O(log |a|) per edge of the
+    added polygon. Returns a."""
+    a.epoch += 1
+    ep = a.epoch
+    _mink_chain(a.lo, lo, 1, ep, track)
+    _mink_chain(a.up, up, -1, ep, track)
+    a.track = track
+    return a
+
+
+def _union_into(a, lo, up, track):
+    """Hull of the union of engine a and the polygon with chains lo and up,
+    in place, one vertex insertion each. Returns a."""
+    for (x, y), h in lo:
+        _union_insert(a.lo, x, y, h if track else None, 1)
+    for (x, y), h in up:
+        _union_insert(a.up, x, y, h if track else None, -1)
+    a.track = track
+    return a
 
 
 def merge_minkowski(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
@@ -495,17 +555,13 @@ def merge_minkowski(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
     b._check()
     track = a.track and b.track
     if a.is_empty or b.is_empty:
-        a.dead = b.dead = True
+        a._consume()
+        b._consume()
         return SplayPolygon(None, None, track)
     if a.count < b.count:
         a, b = b, a
-    a.epoch += 1
-    ep = a.epoch
-    _mink_chain(a.lo, _chain_list(b.lo), 1, ep, track)
-    _mink_chain(a.up, _chain_list(b.up), -1, ep, track)
-    a.track = track
-    b.dead = True
-    return a
+    lo, up = b._consume()
+    return _sum_into(a, lo, up, track)
 
 
 def merge_union(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
@@ -514,20 +570,15 @@ def merge_union(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
     b._check()
     track = a.track and b.track
     if a.is_empty:
-        a.dead = True
+        a._consume()
         return b
     if b.is_empty:
-        b.dead = True
+        b._consume()
         return a
     if a.count < b.count:
         a, b = b, a
-    for (x, y), h in _chain_list(b.lo):
-        _union_insert(a.lo, x, y, h if track else None, 1)
-    for (x, y), h in _chain_list(b.up):
-        _union_insert(a.up, x, y, h if track else None, -1)
-    a.track = track
-    b.dead = True
-    return a
+    lo, up = b._consume()
+    return _union_into(a, lo, up, track)
 
 
 # A merge whose operands' vertex counts are within this factor of each other
@@ -543,13 +594,16 @@ def _size(x):
     return x.count
 
 
-def _settle(x):
-    """Plain polygon of a merge operand, consuming an engine."""
+def _tracks(x):
+    return x.wit is not None if isinstance(x, Polygon) else x.track
+
+
+def settle(x) -> Polygon:
+    """Plain polygon of a merge operand or result. An engine is consumed,
+    and its trees are freed on the spot."""
     if isinstance(x, Polygon):
         return x
-    poly = x.to_polygon()
-    x.dead = True
-    return poly
+    return _polygon(*x._consume(), x.track)
 
 
 def combine_any(kind, a, b):
@@ -559,24 +613,27 @@ def combine_any(kind, a, b):
 
     Operands of comparable vertex count (within _RATIO) are merged by the
     kernel, reading out any engine; a lopsided pair is merged smaller-into-
-    larger by the engine, promoting Polygon operands. So the work of every
-    merge is charged to its smaller side, as in Carlson-Eppstein's subtree
-    merges. An empty operand empties a sum and drops out of a union without
-    touching the other side. Engine operands are consumed. The result
-    carries witnesses only when both operands do."""
+    larger by the engine. Only the larger operand is promoted to an engine
+    when it is a Polygon; the smaller one is read as its two chains, straight
+    from a Polygon or by consuming an engine. So the work of every merge is
+    charged to its smaller side, as in Carlson-Eppstein's subtree merges. An
+    empty operand empties a sum and drops out of a union without touching
+    the other side. Engine operands are consumed; Polygons are never
+    changed. The result carries witnesses only when both operands do."""
     na, nb = _size(a), _size(b)
     if na == 0 or nb == 0:
         keep = EMPTY_POLYGON if kind == "+" else (b if na == 0 else a)
         for x in (a, b):
             if x is not keep and not isinstance(x, Polygon):
-                x.dead = True
+                x._consume()
         return keep
     if max(na, nb) <= _RATIO * min(na, nb):
         op = _kernel_minkowski if kind == "+" else _kernel_union
-        return op(_settle(a), _settle(b))
+        return op(settle(a), settle(b))
+    if na < nb:
+        a, b = b, a
+    track = _tracks(a) and _tracks(b)
+    lo, up = _chains(b, track) if isinstance(b, Polygon) else b._consume()
     if isinstance(a, Polygon):
         a = SplayPolygon.from_polygon(a)
-    if isinstance(b, Polygon):
-        b = SplayPolygon.from_polygon(b)
-    op = merge_minkowski if kind == "+" else merge_union
-    return op(a, b)
+    return (_sum_into if kind == "+" else _union_into)(a, lo, up, track)

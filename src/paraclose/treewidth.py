@@ -25,7 +25,7 @@ from collections import deque
 from .errors import InputFormatError, LimitExceededError, StructureError
 from .polygon import EMPTY_POLYGON, Polygon, _is_int_pair
 from .poset import _check_id, _check_list
-from .splay import SplayPolygon, combine_any
+from .splay import combine_any, settle
 from .witness import wleaf
 
 
@@ -351,8 +351,7 @@ def eval_formula(f: Formula, poset, track=True) -> Polygon:
             return EMPTY_POLYGON
         return combine_any("u" if k == "union" else "+", ev(node.left), ev(node.right))
 
-    res = ev(f)
-    return res.to_polygon() if isinstance(res, SplayPolygon) else res
+    return settle(ev(f))
 
 
 def greedy_tree_decomposition(poset) -> TreeDecomposition:

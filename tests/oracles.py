@@ -6,9 +6,14 @@ the package's merge algorithms cannot hide in the checker too.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 
+from paraclose.errors import InputFormatError
 from paraclose.polygon import Polygon, cross
+from paraclose.semiorder import Semiorder
+
+GridSquare = namedtuple("GridSquare", ("origin", "side"))
 
 
 def slow_hull(points):
@@ -121,3 +126,27 @@ def slow_zonotope_witnesses(gens, ids):
             wits.append(frozenset(cur))
     # the walk ends where it started; with no classes it is one point
     return wits[:-1] if classes else wits
+
+
+def extremes(s: Semiorder, lower) -> tuple:
+    """Grid point (p, q) of a nonempty lower set: q its largest index, p-1
+    the smallest index below q left out, p = 0 when none is missing."""
+    if not lower:
+        raise InputFormatError("the empty lower set has no extremes point")
+    idxs = {s.index[x] for x in lower}
+    j = max(idxs)
+    i = -1
+    for t in range(j):
+        if t not in idxs:
+            i = t
+            break
+    return (i + 1, j)
+
+
+def freeset(s: Semiorder, square: GridSquare) -> set:
+    """Elements strictly between a square's row block and column block; they
+    are free to include or drop in every lower set the square captures."""
+    (i0, j0), side = square
+    lo = max(i0 + side, 0)
+    hi = min(j0, len(s))
+    return {s.ids[t] for t in range(lo, hi)}

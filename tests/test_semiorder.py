@@ -7,13 +7,8 @@ from paraclose.errors import InputFormatError
 from paraclose.generate import random_semiorder
 from paraclose.polygon import Polygon, hull_of_points, is_canonical
 from paraclose.poset import brute_polygon
-from paraclose.semiorder import (
-    GridSquare,
-    Semiorder,
-    extremes,
-    freeset,
-    solve_semiorder,
-)
+from oracles import GridSquare, extremes, freeset
+from paraclose.semiorder import Semiorder, solve_semiorder
 
 N_ITEMS = [("a", "2/3", (1, 0)), ("b", 0, (0, 1)), ("c", 2, (-1, 3)), ("d", "4/3", (2, -1))]
 

@@ -73,6 +73,29 @@ def test_parse_shapes_and_errors():
         parse_sp('{"leaf":{"id":"a","weight":[1,"x"]}}')
 
 
+def test_leaf_weight_checked_once_on_construction(monkeypatch):
+    # SPTree's leaf branch is the one place a leaf weight is checked: a list
+    # pair becomes a tuple and anything else is an input error
+    t = SPTree(LEAF, id="x", weight=[1, 2])
+    assert t.weight == t.total == (1, 2)
+    assert solve_sp(t) == solve_sp(leaf("x", (1, 2)))
+    for bad in ([1.5, 2], [1], "ab", None):
+        with pytest.raises(InputFormatError):
+            SPTree(LEAF, id="x", weight=bad)
+    import paraclose.series_parallel as sp
+
+    t = random_sp_tree(random.Random(3), 25)
+    text = json.dumps(sp_tree_to_json(t))
+    calls = []
+    monkeypatch.setattr(sp, "_check_weight", lambda w, where: calls.append(w) or tuple(w))
+    parse_sp(text)
+    assert len(calls) == t.count
+    calls.clear()
+    tree_to_sp({"root": {"id": "r", "weight": [0, 0]},
+                "edges": [{"parent": "r", "child": c, "weight": [1, 1]} for c in "abc"]})
+    assert len(calls) == 4
+
+
 def test_parse_sp_rejects_text_nested_too_deeply():
     # json.loads gives up on deep nesting with a RecursionError
     depth = 5000
@@ -189,9 +212,10 @@ def test_leaf_polygon_matches_hull_of_points(w):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_solve_leaves_gc_state_as_found(enabled):
     t = random_sp_tree(random.Random(29), 300)
-    # built directly so leaf()'s validation does not catch the bad weight;
-    # the solve gets past leaf "a" and fails on "b"
-    bad = series(leaf("a", (1, 0)), SPTree(LEAF, id="b", weight=[1, 2]))
+    # the weight is swapped in after construction, which validates it; the
+    # solve gets past leaf "a" and fails on "b"
+    bad = series(leaf("a", (1, 0)), leaf("b", (1, 2)))
+    bad.right.weight = [1, 2]
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()

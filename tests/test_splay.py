@@ -352,3 +352,65 @@ def test_combine_any_dispatch():
     assert combine_any("+", e, EMPTY_POLYGON) is EMPTY_POLYGON
     with pytest.raises(RuntimeError):
         e.to_polygon()
+    # Lopsided pairs take the direct path: only the larger operand becomes
+    # an engine, and the smaller one is read as chains, straight from a
+    # Polygon or from an engine it consumes. Coordinates are even on the
+    # big side and odd on the small one, so no vertices coincide and the
+    # kernel's witnesses are the only right ones.
+    def convex(k, label, odd):
+        pts = [(2 * i + odd, 2 * (i - k // 2) ** 2 + odd) for i in range(k)]
+        return hull_of_points(pts, [wleaf({(label, i)}) for i in range(k)])
+
+    big = convex(200, "B", 0)
+    for k in (1, 2, 3, 40):
+        small = convex(k, "S", 1)
+        for kind, op in (("+", minkowski_sum), ("u", hull_union)):
+            for bt, st in ((True, True), (True, False), (False, True), (False, False)):
+                bp = big if bt else Polygon(big.vertices)
+                sp = small if st else Polygon(small.vertices)
+                want = op(bp, sp)
+                for big_engine in (False, True):
+                    for small_engine in (False, True):
+                        for big_first in (True, False):
+                            b = eng(bp, bt) if big_engine else bp
+                            sm = eng(sp, st) if small_engine else sp
+                            got = combine_any(kind, *((b, sm) if big_first else (sm, b)))
+                            assert isinstance(got, SplayPolygon)
+                            got = got.to_polygon()
+                            assert got == want
+                            if bt and st:
+                                assert got.witness_sets() == want.witness_sets()
+                            else:
+                                assert got.wit is None
+                            if small_engine:
+                                with pytest.raises(RuntimeError):
+                                    sm.to_polygon()
+                                with pytest.raises(RuntimeError):
+                                    combine_any(kind, big, sm)
+                            else:
+                                assert sm.vertices == small.vertices
+                                assert sm.wit == (small.wit if st else None)
+                            assert bp.vertices == big.vertices
+
+
+def test_solves_leave_no_garbage_cycles():
+    # Consumed engines and cut subtrees are unlinked as they die, and
+    # reference counting frees them, so a solve run with the cyclic GC off
+    # leaves it nothing to collect.
+    import gc
+
+    from paraclose.generate import random_sp_tree
+    from paraclose.series_parallel import solve_sp, tree_to_sp
+
+    cases = ((random_sp_tree(random.Random(37), 2000, span=10**4), True),
+             (tree_to_sp(_caterpillar(4000, 5)), False))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for t, track in cases:
+            gc.collect()
+            solve_sp(t, track)
+            assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
