@@ -35,7 +35,8 @@ from .parametric import (
     rat,
     rat_str,
 )
-from .polygon import Polygon, _id_key, _is_int_pair
+from .gcpause import gc_paused
+from .polygon import Polygon, _is_int_pair
 from .poset import Poset, brute_polygon, incidence_poset
 from .semiorder import Semiorder, solve_semiorder
 from .series_parallel import parse_sp, solve_sp, sp_to_poset, sp_tree_to_json, tree_to_sp
@@ -75,7 +76,9 @@ def _load(path):
     except OSError as e:
         raise InputFormatError(f"cannot read {path}: {e}") from None
     try:
-        return json.loads(text)
+        # the parse allocates only live containers, never cycles
+        with gc_paused():
+            return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputFormatError(f"{path}: not valid JSON: {e}") from None
     except RecursionError:
@@ -264,7 +267,7 @@ def _cmd_optimize(args):
     value, vertex, wit = maximize_quasiconvex(poly, objective(args.objective))
     out = {"value": rat_str(Fraction(value)), "vertex": list(vertex)}
     if wit is not None:
-        out["witness"] = expand_all([wit], key=_id_key)[0]
+        out["witness"] = expand_all([wit], ordered=True)[0]
     _emit_json(args, out)
     return 0
 

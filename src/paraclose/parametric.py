@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputFormatError, ParacloseError
-from .polygon import Polygon, _id_key
+from .polygon import Polygon
 from .witness import expand_all
 
 
@@ -98,10 +98,10 @@ def optimum_at(pieces, lam):
 
 
 def profile_to_json(pieces):
-    """JSON of the pieces, their witnesses expanded together as sorted id
-    lists (see witness.expand_all)."""
+    """JSON of the pieces, their witnesses expanded together as id lists in
+    canonical order (see witness.expand_all)."""
     out = []
-    wits = expand_all([p.witness for p in pieces], key=_id_key)
+    wits = expand_all([p.witness for p in pieces], ordered=True)
     for p, wit in zip(pieces, wits):
         piece = {
             "vertex": list(p.vertex),

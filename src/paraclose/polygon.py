@@ -23,7 +23,7 @@ import functools
 from operator import itemgetter
 
 from .errors import InputFormatError
-from .witness import EMPTY, chain, expand_all, wleaf, wunion
+from .witness import EMPTY, chain, expand_all, read_leaf, wleaf, wunion
 
 
 def cross(o, a, b):
@@ -46,11 +46,12 @@ def half(d):
 
 def _is_int_pair(v):
     """Whether a JSON value is a pair of integers (bools do not count)."""
-    return (
-        isinstance(v, (list, tuple))
-        and len(v) == 2
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-    )
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        return False
+    a, b = v
+    # bool cannot be subclassed, so a type test settles it
+    return (isinstance(a, int) and isinstance(b, int)
+            and type(a) is not bool and type(b) is not bool)
 
 
 class Polygon:
@@ -115,12 +116,13 @@ class Polygon:
             return Polygon(verts, self.wit)
         return Polygon(verts, tuple(wunion(w, tag) for w in self.wit))
 
-    def witness_sets(self, key=None):
+    def witness_sets(self, ordered=False):
         """The vertices' witness id sets, expanded together (see
-        witness.expand_all): frozensets, or lists sorted by key if given."""
+        witness.expand_all): frozensets, or lists in canonical id order if
+        ordered."""
         if self.wit is None:
             return None
-        return expand_all(self.wit, key)
+        return expand_all(self.wit, ordered)
 
     def contains(self, p):
         """Exact point-in-polygon test (boundary counts as inside)."""
@@ -145,13 +147,15 @@ class Polygon:
     def to_json(self, include_witnesses=True):
         out = {"vertices": [[x, y] for x, y in self.vertices]}
         if include_witnesses and self.wit is not None:
-            out["witnesses"] = self.witness_sets(key=_id_key)
+            out["witnesses"] = self.witness_sets(ordered=True)
         return out
 
     @classmethod
     def from_json(cls, data):
         """Read a polygon written by to_json; the one constructor path for
-        untrusted data, so its shape and integer coordinates are checked here."""
+        untrusted data, so its shape and integer coordinates are checked here.
+        Witness lists already in canonical id order are kept as they are
+        (witness.read_leaf), so writing them out again costs no sort."""
         if not isinstance(data, dict) or not isinstance(data.get("vertices"), (list, tuple)):
             raise InputFormatError('expected an object with a "vertices" list')
         verts = []
@@ -164,14 +168,10 @@ class Polygon:
             if not isinstance(wit, list) or len(wit) != len(verts):
                 raise InputFormatError('"witnesses" must be a list with one entry per vertex')
             try:
-                wit = [wleaf(s) for s in wit]
+                wit = [read_leaf(s) for s in wit]
             except TypeError:
                 raise InputFormatError("each witness must be a list of element ids") from None
         return cls(verts, wit)
-
-
-def _id_key(v):
-    return (v.__class__.__name__, v)
 
 
 EMPTY_POLYGON = Polygon(())

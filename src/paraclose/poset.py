@@ -17,8 +17,11 @@ from .witness import wleaf
 
 
 def _check_weight(w, where):
+    """w as a tuple, if it is a pair of integers. where = (kind, id) names
+    its owner in the error message, which is formatted only when raised."""
     if not _is_int_pair(w):
-        raise InputFormatError(f"{where}: weight must be a pair of integers, got {w!r}")
+        kind, owner = where
+        raise InputFormatError(f"{kind} {owner!r}: weight must be a pair of integers, got {w!r}")
     return (w[0], w[1])
 
 
@@ -53,7 +56,7 @@ class Poset:
         self.index = {e: i for i, e in enumerate(self.ids)}
         if len(self.index) != n:
             raise InputFormatError("duplicate element id")
-        self.weights = [_check_weight(w, f"element {self.ids[i]!r}") for i, w in enumerate(weights)]
+        self.weights = [_check_weight(w, ("element", self.ids[i])) for i, w in enumerate(weights)]
         if len(self.weights) != n:
             raise InputFormatError("weights/ids length mismatch")
 

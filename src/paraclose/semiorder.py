@@ -19,6 +19,7 @@ keeps the total segment mass near-linear instead of quadratic.
 from __future__ import annotations
 
 from .errors import InputFormatError
+from .gcpause import gc_paused
 from .parametric import rat, rat_str
 from .polygon import Polygon, hull_of_points, segment_zonotope
 from .poset import _check_id, _check_weight, semiorder_poset
@@ -50,7 +51,7 @@ class Semiorder:
                 raise InputFormatError(
                     f"item {k}: expected an (id, utility, weight) triple"
                 ) from None
-            rows.append((xid, rat(util), _check_weight(weight, f"item {k}")))
+            rows.append((xid, rat(util), _check_weight(weight, ("item", k))))
         rows.sort(key=lambda r: r[1])
         self.ids = tuple(r[0] for r in rows)
         self.utilities = tuple(r[1] for r in rows)
@@ -97,7 +98,13 @@ class Semiorder:
 
 def solve_semiorder(s: Semiorder, track=True) -> Polygon:
     """Hull of the projections of every lower set of the semiorder, with one
-    witness per vertex when track is on."""
+    witness per vertex when track is on. Automatic GC is paused for the
+    solve, as in solve_sp: its merges leave no garbage cycles."""
+    with gc_paused():
+        return _solve_semiorder(s, track)
+
+
+def _solve_semiorder(s, track):
     n = len(s)
     nn = 1  # root side of the quadtree; rows and columns past n are clipped
     while nn < n:

@@ -14,10 +14,10 @@ does not depend on that choice).
 
 from __future__ import annotations
 
-import gc
 import json
 
 from .errors import InputFormatError
+from .gcpause import gc_paused
 from .polygon import Polygon
 from .poset import Poset, _check_id, _check_list, _check_weight
 from .splay import combine_any, settle
@@ -43,7 +43,7 @@ class SPTree:
         self.right = right
         self.id = id
         if kind == LEAF:
-            self.weight = self.total = _check_weight(weight, f"leaf {id!r}")
+            self.weight = self.total = _check_weight(weight, ("leaf", id))
             self.count = 1
         else:
             self.weight = weight
@@ -179,18 +179,10 @@ def solve_sp(t, track=True) -> Polygon:
     whole growing heap (next to the input tree) while finding nothing to
     free. The merges leave no garbage cycles behind, since the splay engine
     unlinks each tree it consumes or cuts away and reference counting frees
-    it on the spot. GC is re-enabled on return, or on an exception, only if
-    it was enabled on entry. Caveat: the GC switch is interpreter-wide, so
-    a gc.disable() made by another thread while this solve runs is undone
-    when it re-enables GC.
+    it on the spot. GC is left as it was found (see gcpause.gc_paused).
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         return _solve_sp(t, track)
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _solve_sp(t, track):

@@ -17,17 +17,33 @@ and every node the OR of its children's masks, each node computed once for
 all handles. With N distinct ids that is one N-bit OR per DAG node and one
 N-bit scan per handle, and the sorted id lists fall out of the bit order
 without a sort per handle.
+
+The canonical id order, the one every payload lists ids in, is id_key's:
+by type name, then by value, so that int and str ids can share a list.
+A witness read back from a payload (read_leaf) is usually in that order
+already: a list of ints, or of strs, that strictly increases. Such a list
+is kept as an ordered leaf, its ids a tuple in canonical order rather than
+a set, and expand_all hands it back as it is, with no walk, rank or sort.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, islice
+from operator import lt
+
+
+def id_key(x):
+    """Sort key of the canonical id order: type name, then value."""
+    return (x.__class__.__name__, x)
 
 
 class WLeaf:
+    """Leaf of explicit ids: a frozenset, or for an ordered leaf a tuple in
+    canonical id order without repeats."""
+
     __slots__ = ("ids",)
 
-    def __init__(self, ids: frozenset):
+    def __init__(self, ids):
         self.ids = ids
 
 
@@ -45,6 +61,27 @@ EMPTY = WLeaf(frozenset())
 def wleaf(ids) -> WLeaf:
     ids = frozenset(ids)
     return EMPTY if not ids else WLeaf(ids)
+
+
+_ORDERED_TYPES = ({int}, {str})
+
+
+def read_leaf(ids):
+    """Leaf of a witness read from JSON, which must be a list of ids
+    (TypeError otherwise, or for an unhashable id). A list of ints or of
+    strs (bools do not count) that strictly increases is already in
+    canonical order and becomes an ordered leaf; any other list a set."""
+    if not isinstance(ids, (list, tuple)):
+        raise TypeError("a witness must be a list of ids")
+    if not ids:
+        return EMPTY
+    if set(map(type, ids)) in _ORDERED_TYPES and all(map(lt, ids, islice(ids, 1, None))):
+        return WLeaf(tuple(ids))
+    return wleaf(ids)
+
+
+def _is_ordered_leaf(h):
+    return type(h) is WLeaf and type(h.ids) is tuple
 
 
 def wunion(a, b):
@@ -79,15 +116,16 @@ def prefix_tags(items) -> list:
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def expand_all(handles, key=None):
+def expand_all(handles, ordered=False):
     """Resolve witness handles to the id sets they denote, in one pass.
 
-    With key=None each handle comes back as a frozenset (ids need not be
-    orderable); otherwise as a list sorted by key. None handles come back as
-    None. The DAG under all handles is walked once: every id gets one bit
-    (in key order, or first-seen order without a key), every node the OR of
-    its children's masks, and a node's mask is dropped as soon as the last
-    node or handle that reads it has done so.
+    Each handle comes back as a frozenset (ids need not be orderable), or
+    with ordered=True as a list in canonical id order (id_key). None
+    handles come back as None, and ordered leaves as their own ids, read
+    through. The DAG under all other handles is walked once: every id gets
+    one bit (in canonical order, or first-seen order if not ordered),
+    every node the OR of its children's masks, and a node's mask is
+    dropped as soon as the last node or handle that reads it has done so.
     """
     handles = list(handles)
     # refs[id(node)]: parents in the DAG plus handle slots still to read it
@@ -95,7 +133,7 @@ def expand_all(handles, key=None):
     post = []  # every node under the handles once, children before parents
     expanded = set()
     for h in handles:
-        if h is None:
+        if h is None or _is_ordered_leaf(h):
             continue
         refs[id(h)] = refs.get(id(h), 0) + 1
         stack = [h]
@@ -119,10 +157,10 @@ def expand_all(handles, key=None):
                     stack.append(c)
 
     leaves = [n for n in post if type(n) is WLeaf]
-    if key is None:
-        ranked = list(dict.fromkeys(x for n in leaves for x in n.ids))
+    if ordered:
+        ranked = sorted({x for n in leaves for x in n.ids}, key=id_key)
     else:
-        ranked = sorted({x for n in leaves for x in n.ids}, key=key)
+        ranked = list(dict.fromkeys(x for n in leaves for x in n.ids))
     rank = {x: i for i, x in enumerate(ranked)}
 
     masks: dict[int, int] = {}
@@ -136,11 +174,14 @@ def expand_all(handles, key=None):
             if not refs[c]:
                 del masks[c]
 
-    convert = frozenset if key is None else list
+    convert = list if ordered else frozenset
     out = []
     for h in handles:
         if h is None:
             out.append(None)
+            continue
+        if _is_ordered_leaf(h):
+            out.append(convert(h.ids))
             continue
         bits = bin(masks[id(h)])[:1:-1].encode().translate(_BITS)
         out.append(convert(compress(ranked, bits)))

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import paraclose
 from paraclose import cli
+from paraclose.errors import InputFormatError
 from paraclose.polygon import Polygon, point
 from paraclose.poset import Poset, brute_polygon
 from paraclose.semiorder import Semiorder
@@ -333,6 +335,43 @@ def test_profile_rejects_non_integer_coordinates(tmp_path, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and "[1.5, 2.7]" in err
+
+
+@pytest.mark.parametrize("witnesses", [
+    pytest.param(["ab", {"x": 1}], id="string-and-object"),
+    pytest.param(["ab", ["x"]], id="string"),
+    pytest.param([["a"], {"x": 1}], id="object"),
+    pytest.param([5, ["x"]], id="number"),
+    pytest.param([None, ["x"]], id="null"),
+    pytest.param([["a", ["b"]], ["x"]], id="array-holding-an-array"),
+    pytest.param([[1, 2], [3, {"y": 1}]], id="array-holding-an-object"),
+])
+def test_witnesses_must_be_lists_of_ids(tmp_path, capsys, witnesses):
+    path = _write(tmp_path, "poly.json", {"vertices": [[0, 0], [1, 2]], "witnesses": witnesses})
+    for sub in ("profile", "optimize"):
+        rc, out, err = _run(capsys, sub, path)
+        assert (rc, out) == (1, "")
+        assert err == "error: each witness must be a list of element ids\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_gc_state_as_found(tmp_path, enabled):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": [')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    good = _write(tmp_path, "good.json", POSET)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for path, msg in ((bad, "not valid JSON"), (deep, "nested too deeply")):
+            with pytest.raises(InputFormatError, match=msg):
+                cli._load(str(path))
+            assert gc.isenabled() is enabled
+        assert cli._load(good) == POSET
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 _DECOMP_POSET = {"elements": [{"id": "a", "weight": [1, 0]}], "relations": []}

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -8,6 +9,7 @@ from paraclose.generate import random_semiorder
 from paraclose.polygon import Polygon, hull_of_points, is_canonical
 from paraclose.poset import brute_polygon
 from oracles import GridSquare, extremes, freeset
+import paraclose.semiorder as semiorder
 from paraclose.semiorder import Semiorder, solve_semiorder
 
 N_ITEMS = [("a", "2/3", (1, 0)), ("b", 0, (0, 1)), ("c", 2, (-1, 3)), ("d", "4/3", (2, -1))]
@@ -166,3 +168,31 @@ def test_input_validation():
         Semiorder.from_json({"items": [{"id": "a", "weight": [1, 0]}]})
     with pytest.raises(InputFormatError):
         Semiorder.from_json([])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_solve_leaves_gc_state_as_found(enabled, monkeypatch):
+    s = Semiorder.from_json(random_semiorder(random.Random(29), 200))
+    merge = semiorder.combine_any
+    calls = []
+
+    def failing_merge(op, a, b):
+        calls.append(op)
+        if len(calls) == 50:
+            raise RuntimeError("merge failed")
+        return merge(op, a, b)
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for track in (True, False):
+            solve_semiorder(s, track)
+            assert gc.isenabled() is enabled
+            calls.clear()
+            monkeypatch.setattr(semiorder, "combine_any", failing_merge)
+            with pytest.raises(RuntimeError):
+                solve_semiorder(s, track)
+            monkeypatch.setattr(semiorder, "combine_any", merge)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
