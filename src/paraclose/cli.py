@@ -3,14 +3,12 @@
 stdout carries exactly one JSON payload per run (plot writes its SVG to a
 file instead); everything diagnostic goes to stderr. Exit codes: 0 success,
 1 bad input, 2 broken invariant (oracle mismatch or internal assertion).
-Set PARACLOSE_LOG=debug for chatter.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import random
 import sys
@@ -45,8 +43,6 @@ from .treewidth import TreeDecomposition, solve_treewidth
 from .width2 import solve_width2
 from .witness import expand_all
 
-log = logging.getLogger("paraclose")
-
 
 class _OracleMismatch(Exception):
     pass
@@ -56,14 +52,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; here that's an input error, code 1
     def error(self, message):
         raise InputFormatError(message)
-
-
-def _setup_logging():
-    level = os.environ.get("PARACLOSE_LOG", "warning").upper()
-    logging.basicConfig(
-        stream=sys.stderr, level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
 
 
 def _load(path):
@@ -334,33 +322,41 @@ def _cmd_plot(args):
     return 0
 
 
+# options shared by some subcommands; each subcommand takes the ones it reads
+_FLAGS = {
+    "--no-witness": dict(action="store_true", help="drop witness sets"),
+    "--oracle-limit": dict(
+        type=int, default=20, metavar="N",
+        help="max n for brute-force enumeration (default 20)",
+    ),
+    "--check-oracle": dict(
+        action="store_true", help="cross-check the result against brute force",
+    ),
+}
+
+
 def _build_parser():
     top = _Parser(prog="paraclose", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help, input_file=True):
+    def add(name, fn, help, *flags, input_file=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         if input_file:
             p.add_argument("input", help="input file (- for stdin)")
         p.add_argument("--out", help="write the payload here instead of stdout")
-        p.add_argument("--no-witness", action="store_true", help="drop witness sets")
-        p.add_argument(
-            "--oracle-limit", type=int, default=20, metavar="N",
-            help="max n for brute-force enumeration (default 20)",
-        )
-        p.add_argument(
-            "--check-oracle", action="store_true",
-            help="cross-check the result against brute force",
-        )
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    add("oracle", _cmd_oracle, "brute-force polygon of a poset file")
-    add("semiorder", _cmd_semiorder, "polygon of a semiorder (items with utilities)")
-    add("sp", _cmd_sp, "polygon of a series-parallel order (sp tree or rooted tree)")
-    tw = add("treewidth", _cmd_treewidth, "polygon of a bounded-treewidth poset")
+    solver = ("--no-witness", "--oracle-limit", "--check-oracle")
+    add("oracle", _cmd_oracle, "brute-force polygon of a poset file",
+        "--no-witness", "--oracle-limit")
+    add("semiorder", _cmd_semiorder, "polygon of a semiorder (items with utilities)", *solver)
+    add("sp", _cmd_sp, "polygon of a series-parallel order (sp tree or rooted tree)", *solver)
+    tw = add("treewidth", _cmd_treewidth, "polygon of a bounded-treewidth poset", *solver)
     tw.add_argument("--decomposition", metavar="FILE", help="tree decomposition JSON")
-    add("width2", _cmd_width2, "polygon of a width-2 poset")
+    add("width2", _cmd_width2, "polygon of a width-2 poset", *solver)
     add("incidence", _cmd_incidence, "turn a weighted graph into its incidence poset")
     add("profile", _cmd_profile, "parametric optimum pieces of a polygon file")
     opt = add("optimize", _cmd_optimize, "maximize a quasiconvex objective over a polygon")
@@ -374,12 +370,12 @@ def _build_parser():
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--span", type=int, default=9, help="weight magnitude bound")
     gen.add_argument("--width", type=int, default=3, help="treewidth bound for --class treewidth")
-    add("plot", _cmd_plot, "render a polygon, poset (with point cloud) or profile to SVG")
+    add("plot", _cmd_plot, "render a polygon, poset (with point cloud) or profile to SVG",
+        "--oracle-limit")
     return top
 
 
 def run(argv=None):
-    _setup_logging()
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputFormatError, ParacloseError
-from .polygon import Polygon
+from .polygon import Polygon, _chains
 from .witness import expand_all
 
 
@@ -68,11 +68,11 @@ def profile(poly: Polygon):
     no maximum to speak of, which is an error."""
     if poly.is_empty:
         raise ParacloseError("profile of an empty polygon")
-    idx = poly.upper_chain()
-    if len(idx) >= 2 and poly.vertices[idx[0]][0] == poly.vertices[idx[1]][0]:
-        idx = idx[1:]  # bottom of a left vertical edge is never optimal
-    verts = [poly.vertices[i] for i in idx]
-    wits = [None if poly.wit is None else poly.wit[i] for i in idx]
+    upper = _chains(poly, poly.wit is not None)[1]
+    if len(upper) >= 2 and upper[0][0][0] == upper[1][0][0]:
+        upper = upper[1:]  # bottom of a left vertical edge is never optimal
+    verts = [v for v, _ in upper]
+    wits = [w for _, w in upper]
     cuts = []
     for (a1, b1), (a2, b2) in zip(verts, verts[1:]):
         cuts.append(Fraction(b1 - b2, a2 - a1))

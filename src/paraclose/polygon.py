@@ -87,24 +87,6 @@ class Polygon:
         v = self.vertices
         return v.index(max(v))
 
-    def lower_chain(self):
-        """Vertex indices from the lexmin vertex to the lexmax vertex along
-        the bottom, in order. Includes a right vertical edge if present."""
-        if not self.vertices:
-            return []
-        return list(range(self.lexmax_index() + 1))
-
-    def upper_chain(self):
-        """Vertex indices from lexmin to lexmax along the top. Includes a
-        left vertical edge if present (as the first step)."""
-        m = len(self.vertices)
-        if m == 0:
-            return []
-        t = self.lexmax_index()
-        if t == 0:
-            return [0]
-        return [0] + list(range(m - 1, t - 1, -1))
-
     def translate(self, d, tag=None):
         """Shift by vector d. tag, if given, is a witness handle unioned into
         every vertex witness (the ids forced into every underlying set)."""

@@ -108,10 +108,6 @@ class Poset:
     def __len__(self):
         return len(self.ids)
 
-    @property
-    def topo_order(self):
-        return list(self._topo)
-
     def less(self, u, v):
         """Strict order test on element ids."""
         return bool(self.below[self.index[v]] >> self.index[u] & 1)

@@ -251,8 +251,8 @@ def _chain_list(ch):
 
 
 class SplayPolygon:
-    """Mutable polygon with splay-tree chains. Create via from_polygon; the
-    merge functions below consume their arguments."""
+    """Mutable polygon with splay-tree chains. Create via from_polygon;
+    combine_any and settle consume it."""
 
     __slots__ = ("lo", "up", "track", "dead", "epoch")
 
@@ -271,10 +271,6 @@ class SplayPolygon:
             return cls(None, None, track)
         lo, up = _chains(poly, track)
         return cls(_build_chain(lo), _build_chain(up), track)
-
-    @property
-    def is_empty(self):
-        return self.lo is None
 
     @property
     def count(self):
@@ -547,38 +543,6 @@ def _union_into(a, lo, up, track):
         _union_insert(a.up, x, y, h if track else None, -1)
     a.track = track
     return a
-
-
-def merge_minkowski(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
-    """Minkowski sum; consumes both arguments, recycling the larger tree."""
-    a._check()
-    b._check()
-    track = a.track and b.track
-    if a.is_empty or b.is_empty:
-        a._consume()
-        b._consume()
-        return SplayPolygon(None, None, track)
-    if a.count < b.count:
-        a, b = b, a
-    lo, up = b._consume()
-    return _sum_into(a, lo, up, track)
-
-
-def merge_union(a: SplayPolygon, b: SplayPolygon) -> SplayPolygon:
-    """Hull of the union; consumes both arguments."""
-    a._check()
-    b._check()
-    track = a.track and b.track
-    if a.is_empty:
-        a._consume()
-        return b
-    if b.is_empty:
-        b._consume()
-        return a
-    if a.count < b.count:
-        a, b = b, a
-    lo, up = b._consume()
-    return _union_into(a, lo, up, track)
 
 
 # A merge whose operands' vertex counts are within this factor of each other

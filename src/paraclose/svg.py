@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import ParacloseError
 from .parametric import rat_str
+from .polygon import _chains
 
 W, H, PAD = 480, 360, 28
 
@@ -68,7 +69,7 @@ def polygon_svg(poly, cloud=None):
             _path(hull, close=len(hull) > 2, fill="#dce9f5", fill_opacity="0.55",
                   stroke="#27537a", stroke_width=1.5)
         )
-    upper = [to(poly.vertices[i]) for i in poly.upper_chain()]
+    upper = [to(p) for p, _ in _chains(poly, False)[1]]
     if len(upper) >= 2:
         body.append(
             _path(upper, stroke="#c0392b", stroke_width=2, fill="none",

@@ -385,24 +385,10 @@ def greedy_tree_decomposition(poset) -> TreeDecomposition:
     return TreeDecomposition(bags, edges)
 
 
-def solve_treewidth(
-    poset,
-    decomp: TreeDecomposition | None = None,
-    track=True,
-    max_n=24,
-    max_width=4,
-    node_budget=1_000_000,
-) -> Polygon:
+def solve_treewidth(poset, decomp: TreeDecomposition | None = None, track=True) -> Polygon:
     """Hull of the projections of all lower sets of a bounded-treewidth
-    order. decomp defaults to the min-degree heuristic."""
-    n = len(poset.ids)
-    if n > max_n:
-        raise LimitExceededError(f"instance has {n} elements, cap is {max_n}")
+    order. decomp defaults to the min-degree heuristic; build_formula's
+    node budget is the only limit on size and width."""
     if decomp is None:
         decomp = greedy_tree_decomposition(poset)
-    if decomp.width > max_width:
-        raise LimitExceededError(
-            f"decomposition width {decomp.width}, cap is {max_width}"
-        )
-    f = build_formula(poset, decomp, node_budget)
-    return eval_formula(f, poset, track)
+    return eval_formula(build_formula(poset, decomp), poset, track)

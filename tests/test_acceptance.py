@@ -29,13 +29,8 @@ from paraclose.polygon import hull_union, minkowski_sum
 from paraclose.poset import Poset, brute_polygon
 from paraclose.semiorder import Semiorder, solve_semiorder
 from paraclose.series_parallel import LEAF, SPTree, leaf, solve_sp, sp_to_poset
-from paraclose.splay import (
-    SplayPolygon,
-    merge_minkowski,
-    merge_union,
-    reset_splay_steps,
-    splay_steps,
-)
+from paraclose import splay
+from paraclose.splay import SplayPolygon, combine_any, reset_splay_steps, splay_steps
 from paraclose.treewidth import (
     build_formula,
     greedy_tree_decomposition,
@@ -232,7 +227,10 @@ def test_criterion_08_formula_height():
     )
 
 
-def test_criterion_09_splay_matches_kernel():
+def test_criterion_09_splay_matches_kernel(monkeypatch):
+    # with no ratio every non-empty pair counts as lopsided, so each merge
+    # takes combine_any's engine path
+    monkeypatch.setattr(splay, "_RATIO", 0)
     rng = random.Random(0xA9)
     bad = 0
     for trial in range(1000):
@@ -240,14 +238,13 @@ def test_criterion_09_splay_matches_kernel():
         q = random_polygon(rng, kmax=64, span=150, label=f"q{trial}")
         if rng.random() < 0.5:
             want = minkowski_sum(p, q)
-            got = merge_minkowski(
-                SplayPolygon.from_polygon(p), SplayPolygon.from_polygon(q)
-            )
+            kind = "+"
         else:
             want = hull_union(p, q)
-            got = merge_union(
-                SplayPolygon.from_polygon(p), SplayPolygon.from_polygon(q)
-            )
+            kind = "u"
+        got = combine_any(
+            kind, SplayPolygon.from_polygon(p), SplayPolygon.from_polygon(q)
+        )
         if got.to_polygon().vertices != want.vertices:
             bad += 1
     _report(

@@ -100,6 +100,58 @@ def test_treewidth_with_explicit_decomposition(tmp_path, capsys):
     assert Polygon.from_json(json.loads(out)) == brute_polygon(Poset.from_json(POSET))
 
 
+def test_treewidth_stops_at_the_formula_budget(tmp_path, capsys, monkeypatch):
+    # one bag of 12 incomparable elements admits 2^12 assignments; with the
+    # budget lowered (the real one takes seconds to fill) the formula runs
+    # over it and the CLI reports that as an input error
+    from paraclose import treewidth
+
+    monkeypatch.setattr(treewidth.build_formula, "__defaults__", (1000,))
+    ids = [f"v{i}" for i in range(12)]
+    path = _write(tmp_path, "p.json", {
+        "elements": [{"id": e, "weight": [1, i]} for i, e in enumerate(ids)],
+        "relations": [],
+    })
+    dpath = _write(tmp_path, "d.json", {"bags": [{"id": 0, "elems": ids}], "edges": []})
+    rc, out, err = _run(capsys, "treewidth", path, "--decomposition", dpath)
+    assert rc == 1 and out == ""
+    assert "error: formula exceeded the node budget of 1000" in err
+    # the greedy decomposition has width 0 here and stays far below it
+    rc, out, _ = _run(capsys, "treewidth", path)
+    assert rc == 0 and len(json.loads(out)["vertices"]) > 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--check-oracle"),
+    ("incidence", "--no-witness"),
+    ("profile", "--no-witness"),
+    ("optimize", "--oracle-limit", "5"),
+    ("gen", "--check-oracle"),
+    ("plot", "--no-witness"),
+    ("plot", "--check-oracle"),
+])
+def test_flags_only_where_read(tmp_path, capsys, argv):
+    # a flag the subcommand would ignore is refused, not silently accepted
+    sub, *flags = argv
+    args = ["--class", "sp", "--n", "3"] if sub == "gen" else [_write(tmp_path, "x.json", POSET)]
+    rc, out, err = _run(capsys, sub, *args, *flags)
+    assert rc == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("sub", ["semiorder", "sp", "treewidth", "width2"])
+def test_solver_flags(tmp_path, capsys, sub):
+    _, out, _ = _run(capsys, "gen", "--class", sub, "--n", "6", "--seed", "4")
+    path = tmp_path / "in.json"
+    path.write_text(out)
+    rc, out, err = _run(capsys, sub, str(path), "--no-witness", "--check-oracle")
+    assert rc == 0 and "witnesses" not in json.loads(out)
+    assert "oracle: MATCH" in err
+    rc, out, err = _run(capsys, sub, str(path), "--check-oracle", "--oracle-limit", "5")
+    assert rc == 0 and "witnesses" in json.loads(out)
+    assert "oracle: SKIPPED (n=6 above limit 5)" in err
+
+
 def test_width2_reports_wide_orders(tmp_path, capsys):
     wide = {"elements": [{"id": e, "weight": [1, 1]} for e in "xyz"], "relations": []}
     rc, out, err = _run(capsys, "width2", _write(tmp_path, "w.json", wide))

@@ -16,6 +16,7 @@ from paraclose.errors import InputFormatError
 from paraclose.polygon import (
     EMPTY_POLYGON,
     Polygon,
+    _chains,
     hull_of_points,
     hull_union,
     is_canonical,
@@ -52,11 +53,13 @@ def test_chain_split():
     poly = Polygon(((0, 0), (3, 0), (4, 2), (4, 5), (1, 4), (0, 2)))
     assert is_canonical(poly)
     # lower runs to the lexmax vertex and owns the right vertical edge
-    assert poly.lower_chain() == [0, 1, 2, 3]
-    assert poly.upper_chain() == [0, 5, 4, 3]
-    seg = Polygon(((1, 1), (1, 7)))
-    assert seg.lower_chain() == [0, 1] and seg.upper_chain() == [0, 1]
-    assert point((2, 2)).lower_chain() == [0]
+    lo, up = _chains(poly, False)
+    v = poly.vertices
+    assert lo == [(v[i], None) for i in (0, 1, 2, 3)]
+    assert up == [(v[i], None) for i in (0, 5, 4, 3)]
+    seg = Polygon(((1, 1), (1, 7)), ("a", "b"))
+    assert _chains(seg, True) == ([((1, 1), "a"), ((1, 7), "b")],) * 2
+    assert _chains(point((2, 2)), False) == ([((2, 2), None)],) * 2
 
 
 def test_minkowski_hand_case():

@@ -1,19 +1,35 @@
 import random
 
+import pytest
+
 from oracles import random_polygon
+from paraclose import splay
 from paraclose.polygon import Polygon, hull_of_points, hull_union, minkowski_sum, point
-from paraclose.splay import (
-    SplayPolygon,
-    merge_minkowski,
-    merge_union,
-    reset_splay_steps,
-    splay_steps,
-)
+from paraclose.splay import SplayPolygon, combine_any, reset_splay_steps, splay_steps
 from paraclose.witness import expand, wleaf
 
 
 def eng(poly, track=True):
     return SplayPolygon.from_polygon(poly if track else Polygon(poly.vertices))
+
+
+@pytest.fixture
+def engine_path(monkeypatch):
+    # with no ratio every non-empty pair counts as lopsided, so combine_any
+    # merges it on the engine, smaller side into larger
+    monkeypatch.setattr(splay, "_RATIO", 0)
+
+
+def msum(a, b):
+    got = combine_any("+", a, b)
+    assert isinstance(got, SplayPolygon)
+    return got
+
+
+def munion(a, b):
+    got = combine_any("u", a, b)
+    assert isinstance(got, SplayPolygon)
+    return got
 
 
 def test_roundtrip():
@@ -62,18 +78,20 @@ def _degenerate(rng, k, label):
             return poly
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_minkowski_matches_kernel():
     for p, q in _random_pairs(5):
         want = minkowski_sum(p, q)
-        got = merge_minkowski(eng(p), eng(q)).to_polygon()
+        got = msum(eng(p), eng(q)).to_polygon()
         assert got == want, (p.vertices, q.vertices)
         assert got.witness_sets() == want.witness_sets(), (p.vertices, q.vertices)
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_union_matches_kernel():
     for p, q in _random_pairs(7):
         want = hull_union(p, q)
-        got = merge_union(eng(p), eng(q)).to_polygon()
+        got = munion(eng(p), eng(q)).to_polygon()
         assert got == want, (p.vertices, q.vertices)
         # ties may keep either side's witness, so check validity, not equality
         pw = {v: s for v, s in zip(p.vertices, p.witness_sets())}
@@ -82,6 +100,7 @@ def test_union_matches_kernel():
             assert s == pw.get(v) or s == qw.get(v)
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_chained_merges_match_kernel():
     rng = random.Random(11)
     for _ in range(60):
@@ -92,10 +111,10 @@ def test_chained_merges_match_kernel():
             op = rng.choice(["sum", "union", "shift"])
             if op == "sum":
                 ref = minkowski_sum(ref, q)
-                e = merge_minkowski(e, eng(q))
+                e = msum(e, eng(q))
             elif op == "union":
                 ref = hull_union(ref, q)
-                e = merge_union(e, eng(q))
+                e = munion(e, eng(q))
             else:
                 d = (rng.randint(-9, 9), rng.randint(-9, 9))
                 ref = ref.translate(d)
@@ -103,16 +122,16 @@ def test_chained_merges_match_kernel():
         assert e.to_polygon() == ref
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_consumed_engine_rejected():
-    import pytest
-
     a = eng(hull_of_points([(0, 0), (1, 0), (0, 1)]))
     b = eng(point((5, 5)))
-    merge_minkowski(a, b)
+    msum(a, b)
     with pytest.raises(RuntimeError):
         b.to_polygon()
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_pair_witnesses_through_sum():
     # after a sum, each vertex witness must split into one vertex of each
     # source whose positions add up
@@ -120,7 +139,7 @@ def test_pair_witnesses_through_sum():
     for _ in range(150):
         p = random_polygon(rng, kmax=16, label="P")
         q = random_polygon(rng, kmax=16, label="Q")
-        got = merge_minkowski(eng(p), eng(q)).to_polygon()
+        got = msum(eng(p), eng(q)).to_polygon()
         pw = {expand(w): v for v, w in zip(p.vertices, p.wit)}
         qw = {expand(w): v for v, w in zip(q.vertices, q.wit)}
         for v, s in zip(got.vertices, got.witness_sets()):
@@ -130,6 +149,7 @@ def test_pair_witnesses_through_sum():
             assert (pw[a][0] + qw[b][0], pw[a][1] + qw[b][1]) == v
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_sum_then_translate_then_union_witnesses():
     # exercise epoch folding: pair tags must settle when a newer tag arrives
     rng = random.Random(17)
@@ -137,9 +157,9 @@ def test_sum_then_translate_then_union_witnesses():
         p = random_polygon(rng, kmax=10, label="P")
         q = random_polygon(rng, kmax=6, label="Q")
         r = random_polygon(rng, kmax=6, label="R")
-        e = merge_minkowski(eng(p), eng(q))
+        e = msum(eng(p), eng(q))
         e.translate((3, 1), wleaf({("T", 0)}))
-        e = merge_union(e, eng(r))
+        e = munion(e, eng(r))
         ref = hull_union(minkowski_sum(p, q).translate((3, 1)), r)
         got = e.to_polygon()
         assert got == ref
@@ -158,6 +178,7 @@ def test_sum_then_translate_then_union_witnesses():
                 assert s in rw and rw[s] == v
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_union_with_empty_engine_keeps_witnesses():
     from paraclose.polygon import EMPTY_POLYGON
 
@@ -166,11 +187,12 @@ def test_union_with_empty_engine_keeps_witnesses():
         p = random_polygon(rng, kmax=10)
         want = hull_union(EMPTY_POLYGON, p)
         for a, b in ((EMPTY_POLYGON, p), (p, EMPTY_POLYGON)):
-            got = merge_union(eng(a), eng(b)).to_polygon()
+            got = munion(eng(a), eng(b)).to_polygon()
             assert got == want
             assert got.witness_sets() == want.witness_sets()
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_independent_engines_keep_their_own_epochs():
     # Two engines tagged and summed independently count epochs from the
     # same start, so their stored epochs overlap; merging them and tagging
@@ -186,7 +208,7 @@ def test_independent_engines_keep_their_own_epochs():
                 ref = ref.translate(d, tag)
             else:
                 q = random_polygon(rng, kmax=rng.choice([2, 4, 12]), label=(label, k))
-                e = merge_minkowski(e, eng(q))
+                e = msum(e, eng(q))
                 ref = minkowski_sum(ref, q)
         return e, ref
 
@@ -195,25 +217,27 @@ def test_independent_engines_keep_their_own_epochs():
         p2 = random_polygon(rng, kmax=24, label=("B", trial))
         e1, r1 = grow(eng(p1), p1, rng.randint(1, 6), "A")
         e2, r2 = grow(eng(p2), p2, rng.randint(1, 6), "B")
-        e, ref = grow(merge_minkowski(e1, e2), minkowski_sum(r1, r2),
+        e, ref = grow(msum(e1, e2), minkowski_sum(r1, r2),
                       rng.randint(0, 4), "C")
         got = e.to_polygon()
         assert got == ref
         assert got.witness_sets() == ref.witness_sets()
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_untracked_mode_and_steps():
     rng = random.Random(19)
     reset_splay_steps()
     p = random_polygon(rng, kmax=40)
     q = random_polygon(rng, kmax=10)
-    e = merge_minkowski(eng(p, track=False), eng(q, track=False))
+    e = msum(eng(p, track=False), eng(q, track=False))
     got = e.to_polygon()
     assert got.wit is None
     assert got == minkowski_sum(p, q)
     assert splay_steps() > 0
 
 
+@pytest.mark.usefixtures("engine_path")
 def test_random_op_chains_witness_sums():
     # pool of engines under random sums, unions and tagged translates; every
     # expanded witness must sum, vector-wise, to its vertex at all times
@@ -259,10 +283,10 @@ def test_random_op_chains_witness_sums():
                 b = pool.pop(rng.randrange(len(pool)))
                 a = pool.pop(rng.randrange(len(pool)))
                 if op < 0.75:
-                    pool.append([merge_minkowski(a[0], b[0]),
+                    pool.append([msum(a[0], b[0]),
                                  minkowski_sum(a[1], b[1])])
                 else:
-                    pool.append([merge_union(a[0], b[0]),
+                    pool.append([munion(a[0], b[0]),
                                  hull_union(a[1], b[1])])
             if rng.random() < 0.25:
                 e, ref = pool[rng.randrange(len(pool))]
@@ -292,7 +316,6 @@ def test_lopsided_merges_stay_off_the_kernel(monkeypatch):
     # Kernel work is linear in both operands, so feeding every caterpillar
     # merge to it costs about n^2/4 operand vertices; the ratio rule sends
     # those merges to the engine and keeps the kernel's share linear.
-    import paraclose.splay as splay
     from paraclose.series_parallel import solve_sp, tree_to_sp
 
     seen = [0]
@@ -312,10 +335,7 @@ def test_lopsided_merges_stay_off_the_kernel(monkeypatch):
 
 
 def test_combine_any_dispatch():
-    import pytest
-
     from paraclose.polygon import EMPTY_POLYGON
-    from paraclose.splay import combine_any
 
     def sized(k, label, shift):
         # k points on a parabola: all in convex position

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from paraclose.errors import InputFormatError, LimitExceededError, StructureError
-from paraclose.generate import random_treewidth_poset
+from paraclose.generate import random_tree_order, random_treewidth_poset, random_width2_poset
 from paraclose.polygon import is_canonical, segment_zonotope
 from paraclose.poset import Poset, brute_polygon
+from paraclose.series_parallel import solve_sp, sp_to_poset, tree_to_sp
 from paraclose.treewidth import (
     TreeDecomposition,
     build_formula,
@@ -19,6 +20,7 @@ from paraclose.treewidth import (
     split_forest,
     validate_decomposition,
 )
+from paraclose.width2 import solve_width2
 
 DIAMOND = {
     "elements": [
@@ -174,14 +176,18 @@ def test_split_forest_empty_rejected():
         split_forest(set(), {})
 
 
-def test_antichain_formula_is_zonotope():
-    ws = [(2, 1), (-1, 3), (4, 0), (0, -2), (1, 1)]
-    p = Poset.from_json(
+def _antichain(ws):
+    return Poset.from_json(
         {
-            "elements": [{"id": f"e{i}", "weight": list(w)} for i, w in enumerate(ws)],
+            "elements": [{"id": f"v{i:02d}", "weight": list(w)} for i, w in enumerate(ws)],
             "relations": [],
         }
     )
+
+
+def test_antichain_formula_is_zonotope():
+    ws = [(2, 1), (-1, 3), (4, 0), (0, -2), (1, 1)]
+    p = _antichain(ws)
     d = TreeDecomposition([(0, set(p.ids))], [])
     got = solve_treewidth(p, d)
     assert got == segment_zonotope(ws, gen_ids=list(p.ids))
@@ -277,23 +283,20 @@ def test_greedy_width_stays_low_on_generator():
 
 
 def test_caps_and_budget():
-    big = Poset.from_json(
-        {
-            "elements": [{"id": f"v{i}", "weight": [1, 0]} for i in range(25)],
-            "relations": [],
-        }
-    )
-    with pytest.raises(LimitExceededError):
-        solve_treewidth(big)
-    wide = Poset.from_json(
-        {
-            "elements": [{"id": f"v{i}", "weight": [1, 0]} for i in range(6)],
-            "relations": [],
-        }
-    )
+    # no cap on size or width: 25 elements (past the oracle) and a bag of
+    # 6 (width 5) solve exactly; only the formula's node budget stops a solve
+    rng = random.Random(43)
+    ws = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(25)]
+    big = _antichain(ws)
+    got = solve_treewidth(big)
+    assert got == segment_zonotope(ws, gen_ids=list(big.ids))
+    _check_witnesses(got, big)
+    wide = _antichain(ws[:6])
     fat = TreeDecomposition([(0, set(wide.ids))], [])
-    with pytest.raises(LimitExceededError):
-        solve_treewidth(wide, fat)
+    assert fat.width == 5
+    got = solve_treewidth(wide, fat)
+    assert got == brute_polygon(wide)
+    _check_witnesses(got, wide)
     p = Poset.from_json(DIAMOND)
     with pytest.raises(LimitExceededError):
         build_formula(p, greedy_tree_decomposition(p), node_budget=3)
@@ -315,3 +318,23 @@ def test_empty_poset():
     assert got.witness_sets() == [frozenset()]
     bare = solve_treewidth(p, track=False)
     assert bare.vertices == ((0, 0),) and bare.wit is None
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_tree_orders_match_sp_solver(n):
+    # rooted-tree orders have treewidth 1 and are series-parallel, so the
+    # SP solver checks the treewidth solver far past the oracle
+    sp = tree_to_sp(random_tree_order(random.Random(n), n))
+    p = sp_to_poset(sp)
+    assert greedy_tree_decomposition(p).width == 1
+    got = solve_treewidth(p)
+    assert got == solve_sp(sp)
+    _check_witnesses(got, p)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_width2_orders_match_width2_solver(n):
+    p = Poset.from_json(random_width2_poset(random.Random(n), n))
+    got = solve_treewidth(p)
+    assert got == solve_width2(p, track=False)
+    _check_witnesses(got, p)
