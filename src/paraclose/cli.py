@@ -11,8 +11,10 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
+from json.decoder import WHITESPACE
 
 from .errors import InputFormatError, ParacloseError, StructureError
 from .generate import (
@@ -66,11 +68,101 @@ def _load(path):
     try:
         # the parse allocates only live containers, never cycles
         with gc_paused():
-            return json.loads(text)
+            return _JSONReader(text).decode()
     except json.JSONDecodeError as e:
         raise InputFormatError(f"{path}: not valid JSON: {e}") from None
     except RecursionError:
         raise InputFormatError(f"{path}: JSON nested too deeply") from None
+
+
+# the end of an element of a list: a "," or the list's "]", with the
+# whitespace around it
+_NEXT = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
+
+
+class _JSONReader:
+    """json.loads(text), with the equal strs of a payload's id lists made
+    one object.
+
+    A polygon payload lists witnesses, sets of the same few ids: the
+    sp-witness benchmark's polygon (seed 1) lists 655,149 ids, 995 of them
+    distinct, and json.loads makes one str per entry. Here the C scanner
+    decodes the text in parts instead: the top-level object key by key, a
+    list whose first element is a list one element at a time, and anything
+    else in one call.
+    Each inner list's strs are swapped for the first equal str met in this
+    decode, so at most one list's copies are alive at once. Only exact strs
+    are shared: a memo keyed by value would merge 1, true and 1.0.
+
+    Text the walk does not accept goes to json.loads whole, so invalid
+    text raises json's own JSONDecodeError. The parts are walked in loops,
+    not recursively; nesting inside a part is the C scanner's, which
+    raises RecursionError when too deep."""
+
+    def __init__(self, text):
+        self.text = text
+        self.scan = json.JSONDecoder().scan_once
+        self.memo = {}
+
+    def decode(self):
+        text = self.text
+        try:
+            i = WHITESPACE.match(text).end()
+            obj, i = self._object(i) if text.startswith("{", i) else self._value(i)
+            if WHITESPACE.match(text, i).end() == len(text):
+                return obj
+        except (StopIteration, json.JSONDecodeError):
+            pass
+        return json.loads(text)
+
+    def _expect(self, c, i):
+        """The index past the c at text[i]; StopIteration if none is there."""
+        if not self.text.startswith(c, i):
+            raise StopIteration(i)
+        return WHITESPACE.match(self.text, i + 1).end()
+
+    def _object(self, i):
+        """The object at text[i] == "{" and the index past it."""
+        text, skip, expect = self.text, WHITESPACE.match, self._expect
+        out = {}
+        i = expect("{", i)
+        if text.startswith("}", i):
+            return out, i + 1
+        while True:
+            if not text.startswith('"', i):
+                raise StopIteration(i)
+            key, i = self.scan(text, i)
+            out[key], i = self._value(expect(":", skip(text, i).end()))
+            i = skip(text, i).end()
+            if text.startswith("}", i):
+                return out, i + 1
+            i = expect(",", i)
+
+    def _value(self, i):
+        """The value at text[i] (not whitespace) and the index past it."""
+        text = self.text
+        if text.startswith("[", i):
+            j = WHITESPACE.match(text, i + 1).end()
+            if text.startswith("[", j):
+                return self._lists(j)
+        return self.scan(text, i)
+
+    def _lists(self, i):
+        """The rest of a list from its first element, text[i] == "[", and
+        the index past its "]"."""
+        text, scan, after, memo = self.text, self.scan, _NEXT.match, self.memo
+        out = []
+        while True:
+            v, i = scan(text, i)
+            if v.__class__ is list:
+                v = [memo.setdefault(x, x) if x.__class__ is str else x for x in v]
+            out.append(v)
+            m = after(text, i)
+            if m is None:
+                raise StopIteration(i)
+            if m[1] == "]":
+                return out, m.end(1)
+            i = m.end()
 
 
 def _emit_json(args, obj):
@@ -211,6 +303,7 @@ def _cmd_sp(args):
         t = tree_to_sp(data)
     else:
         t = parse_sp(data)
+    del data  # the parsed input is not needed through the solve
     poly = solve_sp(t, track=not args.no_witness)
     _polygon_out(args, t.count, lambda: sp_to_poset(t), poly)
     return 0

@@ -28,7 +28,7 @@ a set, and expand_all hands it back as it is, with no walk, rank or sort.
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from itertools import chain as _chain, compress, islice
 from operator import lt
 
 
@@ -156,17 +156,19 @@ def expand_all(handles, ordered=False):
                 if id(c) not in expanded:
                     stack.append(c)
 
-    leaves = [n for n in post if type(n) is WLeaf]
-    if ordered:
-        ranked = sorted({x for n in leaves for x in n.ids}, key=id_key)
-    else:
-        ranked = list(dict.fromkeys(x for n in leaves for x in n.ids))
-    rank = {x: i for i, x in enumerate(ranked)}
+    # ranked by id_key(x) == (type name, x), not by x: ids equal across
+    # types (1, True, 1.0) must not share one rank
+    leaf_keys = [[id_key(x) for x in n.ids] for n in post if type(n) is WLeaf]
+    distinct = dict.fromkeys(_chain.from_iterable(leaf_keys))
+    ranked = sorted(distinct) if ordered else list(distinct)
+    rank = {k: i for i, k in enumerate(ranked)}
+    ranked = [k[1] for k in ranked]
 
     masks: dict[int, int] = {}
+    keys = iter(leaf_keys)
     for n in post:
         if type(n) is WLeaf:
-            masks[id(n)] = _leaf_mask([rank[x] for x in n.ids])
+            masks[id(n)] = _leaf_mask([rank[k] for k in next(keys)])
             continue
         masks[id(n)] = masks[id(n.left)] | masks[id(n.right)]
         for c in (id(n.left), id(n.right)):

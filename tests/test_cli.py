@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -270,15 +271,17 @@ def test_writer_matches_json_dumps_indent_2(tmp_path_factory, obj):
     assert stdout.getvalue() == want
 
 
-def test_writer_holds_one_list_at_a_time(tmp_path):
-    # ~300k string ids in 600 witness lists; json.dumps(indent=2) held
-    # every piece of the text and then the text itself
-    import tracemalloc
-
-    payload = {
+def _many_ids_payload():
+    # ~300k string ids in 600 witness lists, 1,099 of them distinct
+    return {
         "vertices": [[i, -i] for i in range(600)],
         "witnesses": [[f"e{i}" for i in range(j, j + 500)] for j in range(600)],
     }
+
+
+def test_writer_holds_one_list_at_a_time(tmp_path):
+    # json.dumps(indent=2) held every piece of the text and then the text
+    payload = _many_ids_payload()
     size = len(json.dumps(payload, indent=2))
     target = tmp_path / "out.json"
     tracemalloc.start()
@@ -289,6 +292,110 @@ def test_writer_holds_one_list_at_a_time(tmp_path):
         tracemalloc.stop()
     assert target.stat().st_size == size + 1
     assert peak < size / 2, (peak, size)
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    return cli._load(str(path))
+
+
+_WS = st.text(alphabet=" \t\n\r", max_size=3)
+_LISTS_OF_LISTS = st.lists(st.lists(_SCALARS) | _SCALARS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    obj=_PAYLOADS | _LISTS_OF_LISTS | st.dictionaries(st.text(), _LISTS_OF_LISTS | _SCALARS),
+    ws=st.lists(_WS, min_size=6, max_size=6),
+    indent=st.none() | _WS,
+)
+def test_load_equals_json_loads(tmp_path_factory, obj, ws, indent):
+    # NaN and the infinities are written as json.loads reads them; repr
+    # tells them apart, as it does 1, 1.0 and True
+    text = ws[0] + json.dumps(
+        obj, indent=indent, separators=(ws[1] + "," + ws[2], ws[3] + ":" + ws[4])
+    ) + ws[5]
+    got = _load_text(tmp_path_factory.getbasetemp(), text)
+    assert repr(got) == repr(json.loads(text))
+
+
+@pytest.mark.parametrize("text", [
+    "[[1], 2]",
+    "[1, [2]]",
+    '[["a", 1, true], [], ["a", 1.0, false, null, {"a": ["a"]}]]',
+    ' \t[\n[ ] ,\r[[ ]] ]\n',
+    "[[]]",
+    "[]",
+    "{}",
+    '"\\u00e9\\n"',
+    '{"w": [["\\u00e9\\"", "\\ud83d\\ude00"], ["\\t"]], "w": [[0]], "v": []}',
+    "[[NaN, Infinity, -Infinity], [-0.0, 1e400]]",
+    '{"a": NaN, "b": [[Infinity]]}',
+])
+def test_load_equals_json_loads_on_edge_cases(tmp_path, text):
+    assert repr(_load_text(tmp_path, text)) == repr(json.loads(text))
+
+
+def test_load_keeps_one_str_per_distinct_id(tmp_path):
+    data = _load_text(
+        tmp_path,
+        '{"witnesses": [["e10", "e11"], ["e11", 1, true, 1.0, "e10"]], "more": [["e10"]]}',
+    )
+    a, b = data["witnesses"]
+    assert a[0] is b[4] is data["more"][0][0]
+    assert a[1] is b[0]
+    assert [type(x) for x in b] == [str, int, bool, float, str]
+
+
+def test_load_allocates_less_than_its_text():
+    # json.loads makes one str per id; the reader keeps one per distinct id
+    payload = _many_ids_payload()
+    text = json.dumps(payload, indent=2)
+    tracemalloc.start()
+    try:
+        data = cli._JSONReader(text).decode()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data == payload
+    assert peak < len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"vertices": [[0, 0], [1, 2]], "witnesses": [["a"], ["a", "b"', id="truncated"),
+    pytest.param('{"vertices": [[0, 0], [1, 2],]}', id="trailing-comma-in-list-of-lists"),
+    pytest.param('{"vertices": [[0, 0]],}', id="trailing-comma-in-object"),
+    pytest.param('{"vertices": [[0, 0]]} [1]', id="extra-data"),
+    pytest.param('{"vertices": [[0, 0], [1, nope]]}', id="bad-token-in-inner-list"),
+    pytest.param('{"vertices": [[0, 0] [1, 2]]}', id="missing-comma"),
+    pytest.param('{"vertices" [[0, 0]]}', id="missing-colon"),
+    pytest.param('{vertices: [[0, 0]]}', id="unquoted-key"),
+    pytest.param("", id="empty"),
+    pytest.param('\ufeff{"vertices": [[0, 0]]}', id="byte-order-mark"),
+])
+def test_malformed_json_is_an_input_error(tmp_path, capsys, text):
+    # the message is json.loads's own, on whatever Python runs it
+    with pytest.raises(json.JSONDecodeError) as e:
+        json.loads(text)
+    path = tmp_path / "poly.json"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = _run(capsys, "profile", str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {path}: not valid JSON: {e.value}\n"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 10**5 + "]" * 10**5, id="lists"),
+    pytest.param('{"vertices": ' + "[" * 10**5 + "]" * 10**5 + "}", id="lists-in-object"),
+    pytest.param('{"a": ' * 10**5 + "1" + "}" * 10**5, id="objects"),
+])
+def test_json_nested_1e5_deep_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    rc, out, err = _run(capsys, "profile", str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 @pytest.mark.parametrize(
@@ -404,6 +511,19 @@ def test_witnesses_must_be_lists_of_ids(tmp_path, capsys, witnesses):
         rc, out, err = _run(capsys, sub, path)
         assert (rc, out) == (1, "")
         assert err == "error: each witness must be a list of element ids\n"
+
+
+def test_witness_ids_keep_their_json_type(tmp_path, capsys):
+    # 1 and true are equal in Python; each vertex keeps the ids it was given
+    path = _write(tmp_path, "poly.json", {"vertices": [[0, 0], [1, 2]],
+                                          "witnesses": [[5, 1], [True, 3]]})
+    rc, out, _ = _run(capsys, "profile", path)
+    assert rc == 0
+    assert [p["witness"] for p in json.loads(out)["pieces"]] == [[1, 5], [True, 3]]
+    assert '"witness": [\n        1,' in out and '"witness": [\n        true,' in out
+    rc, out, _ = _run(capsys, "optimize", path, "--objective", "dist2")
+    assert rc == 0
+    assert json.loads(out)["witness"] == [True, 3] and "true" in out
 
 
 @pytest.mark.parametrize("enabled", [True, False])

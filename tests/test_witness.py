@@ -160,11 +160,10 @@ def test_read_leaf_keeps_only_canonical_lists_in_order():
             read_leaf(bad)
 
 
-# ids a witness list is drawn from: ints, strs and bools, which sort apart
-# from ints (no 0 or 1 here: those equal False and True, and collapse with
-# them into one id)
-_POOL = list(range(-4, 0)) + list(range(2, 12)) + ["a", "b", "B", "ab", "x10", "x9", ""] + [
-    False, True]
+# ids a witness list is drawn from: ints, strs, bools and floats, which sort
+# apart by type. 0, 1 and 1.0 equal False and True: within one list they
+# collapse into one id, but each list keeps its own
+_POOL = list(range(-4, 12)) + ["a", "b", "B", "ab", "x10", "x9", ""] + [False, True, 1.0]
 
 
 def _random_witness(rng):
