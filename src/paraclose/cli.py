@@ -14,6 +14,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.decoder import WHITESPACE
 
 from .errors import InputFormatError, ParacloseError, StructureError
@@ -75,6 +76,9 @@ def _load(path):
         raise InputFormatError(f"{path}: JSON nested too deeply") from None
 
 
+# the first character of a JSON number (NaN and the infinities aside)
+_NUMBER_START = frozenset("-0123456789")
+
 # the end of an element of a list: a "," or the list's "]", with the
 # whitespace around it
 _NEXT = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
@@ -89,7 +93,10 @@ class _JSONReader:
     distinct, and json.loads makes one str per entry. Here the C scanner
     decodes the text in parts instead: the top-level object key by key, a
     list whose first element is a list one element at a time, and anything
-    else in one call.
+    else in one call. A list of lists whose first inner list starts with a
+    number (a polygon's vertices, say) is decoded in one call too, and
+    walked again if it turns out to hold anything but lists or a str in
+    an inner list (ints sort before strs in mixed witnesses).
     Each inner list's strs are swapped for the first equal str met in this
     decode, so at most one list's copies are alive at once. Only exact strs
     are shared: a memo keyed by value would merge 1, true and 1.0.
@@ -144,6 +151,12 @@ class _JSONReader:
         if text.startswith("[", i):
             j = WHITESPACE.match(text, i + 1).end()
             if text.startswith("[", j):
+                k = WHITESPACE.match(text, j + 1).end()
+                if text[k:k + 1] in _NUMBER_START:
+                    v, end = self.scan(text, i)
+                    if set(map(type, v)) == {list}:
+                        if str not in set(map(type, chain.from_iterable(v))):
+                            return v, end
                 return self._lists(j)
         return self.scan(text, i)
 
@@ -166,18 +179,19 @@ class _JSONReader:
 
 
 def _emit_json(args, obj):
-    """Write the bytes of json.dumps(obj, indent=2) plus a newline to
-    --out or stdout, streamed one list or object at a time, so the whole
-    text is never held at once. A --out file the writer fails part way
-    through is removed: a partial payload must not pass for a whole one."""
+    """Write the bytes of json.dumps(obj, separators=(",", ":")) plus a
+    newline to --out or stdout, streamed one list or object at a time, so
+    the whole text is never held at once. A --out file the writer fails
+    part way through is removed: a partial payload must not pass for a
+    whole one."""
     if not getattr(args, "out", None):
-        sys.stdout.writelines(_json_chunks(obj, ""))
+        sys.stdout.writelines(_json_chunks(obj))
         sys.stdout.write("\n")
         return
     f = open(args.out, "w")
     try:
         with f:
-            f.writelines(_json_chunks(obj, ""))
+            f.writelines(_json_chunks(obj))
             f.write("\n")
     except BaseException:
         if os.path.isfile(args.out):
@@ -186,61 +200,49 @@ def _emit_json(args, obj):
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _json_chunks(obj, ind):
-    """The text of json.dumps(obj, indent=2) at indentation ind, one list
-    or object at a time. (With an indent, json.dumps runs its pure-Python
-    encoder, which keeps every piece and the joined text alive together.)"""
-    if isinstance(obj, (list, tuple)):
-        text = _flat_list(obj, ind)
-        if text is not None:
-            yield text
-            return
-        items = (("", v) for v in obj)
-        sep, close = "[\n", "]"
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        items = ((_json_key(k), v) for k, v in obj.items())
-        sep, close = "{\n", "}"
-    else:
-        yield json.dumps(obj)
+def _json_chunks(obj):
+    """The text of json.dumps(obj, separators=(",", ":")), one list or
+    object at a time. (json.dumps holds every piece of the text and then
+    the joined text.)"""
+    text = _flat(obj)
+    if text is not None:
+        yield text
         return
-    inner = ind + "  "
-    sep += inner
+    if isinstance(obj, dict):
+        items = ((_json_key(k), v) for k, v in obj.items())
+        sep, close = "{", "}"
+    else:
+        items = (("", v) for v in obj)
+        sep, close = "[", "]"
     for key, v in items:
-        if isinstance(v, (list, tuple)):
-            text = _flat_list(v, inner)
-        elif isinstance(v, dict):
-            text = None
-        else:
-            text = json.dumps(v)
+        text = _flat(v)
         if text is None:
             yield sep + key
-            yield from _json_chunks(v, inner)
+            yield from _json_chunks(v)
         else:
             yield sep + key + text
-        sep = ",\n" + inner
-    yield "\n" + ind + close
+        sep = ","
+    yield close
 
 
-def _flat_list(lst, ind):
-    """The indented text of a list that holds no container, else None.
-
-    Plain ints (not bools) are joined from int.__repr__; any other scalars
-    take one call of the C encoder, whose item separator carries the
-    newline and indentation, with the brackets re-framed."""
-    if not lst:
-        return "[]"
-    inner = ind + "  "
-    types = set(map(type, lst))
-    if types == {int}:
-        return "[\n" + inner + (",\n" + inner).join(map(int.__repr__, lst)) + "\n" + ind + "]"
-    if types <= _SCALARS:
-        text = json.dumps(lst, separators=(",\n" + inner, ": "))
-        return "[\n" + inner + text[1:-1] + "\n" + ind + "]"
+def _flat(obj):
+    """The text of obj in one piece, from one call of the C encoder, if it
+    is a scalar, an empty container, a list of scalars or a list of scalar
+    pairs (a polygon's vertices); else None."""
+    if isinstance(obj, dict):
+        return None if obj else "{}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return _compact(obj)
+    types = set(map(type, obj))
+    if types <= _SCALARS or (
+        types <= {list, tuple}
+        and set(map(len, obj)) == {2}
+        and set(map(type, chain.from_iterable(obj))) <= _SCALARS
+    ):
+        return _compact(obj)
     return None
 
 
@@ -251,7 +253,7 @@ def _json_key(k):
         if k is not None and not isinstance(k, (int, float)):
             raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
         k = json.dumps(k)
-    return json.dumps(k) + ": "
+    return json.dumps(k) + ":"
 
 
 def _check_oracle(args, n, build_poset, got):

@@ -265,12 +265,43 @@ def selection_count(f: Formula) -> int:
     return selection_count(f.left) * selection_count(f.right)
 
 
+def node_floor(poset, d: TreeDecomposition) -> int:
+    """A lower bound on the nodes build_formula makes from d, a valid
+    decomposition of the poset: the sum over d's bags of 2^k, where k is
+    the size of an antichain in the bag.
+
+    Every "mink" node is made at the end of one assign walk, in the rec
+    call that split off a bag x; call it x's node. Each lower set S is a
+    selection of the formula (one side of every union, both sides of every
+    sum), and the rec calls that split a bag B never nest, so S's selection
+    passes through exactly one of B's mink nodes, and that node's
+    assignment fixes S & B. So B has at least one mink node per distinct
+    S & B, and each subset T of an antichain in B gives a distinct one (the
+    lower set generated by T meets the antichain in T). The antichain is
+    taken greedily in index order, so the bound does not depend on the
+    iteration order of a set."""
+    below, above, index = poset.below, poset.above, poset.index
+    total = 0
+    for elems in d.bags.values():
+        chosen = 0
+        for i in sorted(index[e] for e in elems):
+            if not (below[i] | above[i]) & chosen:
+                chosen |= 1 << i
+        total += 1 << chosen.bit_count()
+    return total
+
+
 def build_formula(poset, decomp, node_budget=1_000_000) -> Formula:
     """Materialize the recursion over (live forest, assignments) as a
     formula tree. Infeasible branches collapse on the spot, so the tree
-    holds only reachable states; node_budget caps runaway instances."""
+    holds only reachable states; node_budget caps runaway instances, and
+    input whose node_floor is already over it is refused before any node
+    is made."""
     d = normalize_decomposition(decomp)
     validate_decomposition(d, poset)
+    over = f"formula exceeded the node budget of {node_budget}"
+    if node_floor(poset, d) > node_budget:
+        raise LimitExceededError(over)
     order = []
     seen = {min(d.bags)}
     queue = deque(seen)
@@ -296,9 +327,7 @@ def build_formula(poset, decomp, node_budget=1_000_000) -> Formula:
     def make(kind, left=None, right=None, weight=None, lmask=0):
         budget[0] -= 1
         if budget[0] < 0:
-            raise LimitExceededError(
-                f"formula exceeded the node budget of {node_budget}"
-            )
+            raise LimitExceededError(over)
         return Formula(kind, left, right, weight, lmask)
 
     def rec(live, lmask, umask, carry):

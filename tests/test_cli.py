@@ -102,9 +102,9 @@ def test_treewidth_with_explicit_decomposition(tmp_path, capsys):
 
 
 def test_treewidth_stops_at_the_formula_budget(tmp_path, capsys, monkeypatch):
-    # one bag of 12 incomparable elements admits 2^12 assignments; with the
-    # budget lowered (the real one takes seconds to fill) the formula runs
-    # over it and the CLI reports that as an input error
+    # one bag of 12 incomparable elements makes at least 2^12 nodes; with
+    # the budget lowered (the real one takes seconds to fill) that is
+    # refused up front, and the CLI reports it as an input error
     from paraclose import treewidth
 
     monkeypatch.setattr(treewidth.build_formula, "__defaults__", (1000,))
@@ -120,6 +120,12 @@ def test_treewidth_stops_at_the_formula_budget(tmp_path, capsys, monkeypatch):
     # the greedy decomposition has width 0 here and stays far below it
     rc, out, _ = _run(capsys, "treewidth", path)
     assert rc == 0 and len(json.loads(out)["vertices"]) > 2
+    # its 367 nodes pass the up-front floor (24) of a budget of 100, and
+    # the budget count kept while the formula is built refuses them
+    monkeypatch.setattr(treewidth.build_formula, "__defaults__", (100,))
+    rc, out, err = _run(capsys, "treewidth", path)
+    assert rc == 1 and out == ""
+    assert "error: formula exceeded the node budget of 100" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,8 +266,8 @@ _PAYLOADS = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(obj=_PAYLOADS)
-def test_writer_matches_json_dumps_indent_2(tmp_path_factory, obj):
-    want = json.dumps(obj, indent=2) + "\n"
+def test_writer_matches_compact_json_dumps(tmp_path_factory, obj):
+    want = json.dumps(obj, separators=(",", ":")) + "\n"
     target = tmp_path_factory.getbasetemp() / "emitted.json"
     cli._emit_json(SimpleNamespace(out=str(target)), obj)
     assert target.read_bytes() == want.encode()
@@ -280,9 +286,9 @@ def _many_ids_payload():
 
 
 def test_writer_holds_one_list_at_a_time(tmp_path):
-    # json.dumps(indent=2) held every piece of the text and then the text
+    # json.dumps holds every piece of the text and then the text
     payload = _many_ids_payload()
-    size = len(json.dumps(payload, indent=2))
+    size = len(json.dumps(payload, separators=(",", ":")))
     target = tmp_path / "out.json"
     tracemalloc.start()
     try:
@@ -331,6 +337,7 @@ def test_load_equals_json_loads(tmp_path_factory, obj, ws, indent):
     '"\\u00e9\\n"',
     '{"w": [["\\u00e9\\"", "\\ud83d\\ude00"], ["\\t"]], "w": [[0]], "v": []}',
     "[[NaN, Infinity, -Infinity], [-0.0, 1e400]]",
+    '[[-1, "a"], ["a", [2]], [Infinity]]',
     '{"a": NaN, "b": [[Infinity]]}',
 ])
 def test_load_equals_json_loads_on_edge_cases(tmp_path, text):
@@ -338,13 +345,16 @@ def test_load_equals_json_loads_on_edge_cases(tmp_path, text):
 
 
 def test_load_keeps_one_str_per_distinct_id(tmp_path):
+    # ids sort ints before strs, so a mixed witness list starts with a
+    # number, as in "mixed"
     data = _load_text(
         tmp_path,
-        '{"witnesses": [["e10", "e11"], ["e11", 1, true, 1.0, "e10"]], "more": [["e10"]]}',
+        '{"witnesses": [["e10", "e11"], ["e11", 1, true, 1.0, "e10"]], "more": [["e10"]],'
+        ' "mixed": [[1, "e10"], [2, "e11", 3.5]]}',
     )
     a, b = data["witnesses"]
-    assert a[0] is b[4] is data["more"][0][0]
-    assert a[1] is b[0]
+    assert a[0] is b[4] is data["more"][0][0] is data["mixed"][0][1]
+    assert a[1] is b[0] is data["mixed"][1][1]
     assert [type(x) for x in b] == [str, int, bool, float, str]
 
 
@@ -433,7 +443,26 @@ def test_stdout_and_out_write_the_same_bytes(tmp_path, capsys, sub):
     rc, quiet, _ = _run(capsys, *argv, "--out", str(target))
     assert rc == 0 and quiet == ""
     assert target.read_bytes() == out.encode()
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+
+
+def test_every_payload_is_compact_json(tmp_path, capsys):
+    # each subcommand that writes a payload writes it on one line, in the
+    # bytes json.dumps gives with compact separators
+    def payload(*argv):
+        rc, out, _ = _run(capsys, *argv)
+        assert rc == 0, argv
+        assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n", argv
+        path = tmp_path / f"out{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(out)
+        return str(path)
+
+    gen = {k: payload("gen", "--class", k, "--n", "9", "--seed", "2") for k in sorted(cli._GEN)}
+    for sub in ("semiorder", "sp", "treewidth", "width2", "incidence"):
+        payload(sub, gen[sub])
+    poly = payload("oracle", _write(tmp_path, "p.json", POSET))
+    payload("profile", poly)
+    payload("optimize", poly, "--objective", "dist2")
 
 
 def test_failed_write_leaves_no_out_file(tmp_path, capsys, monkeypatch):
@@ -520,7 +549,7 @@ def test_witness_ids_keep_their_json_type(tmp_path, capsys):
     rc, out, _ = _run(capsys, "profile", path)
     assert rc == 0
     assert [p["witness"] for p in json.loads(out)["pieces"]] == [[1, 5], [True, 3]]
-    assert '"witness": [\n        1,' in out and '"witness": [\n        true,' in out
+    assert '"witness":[1,' in out and '"witness":[true,' in out
     rc, out, _ = _run(capsys, "optimize", path, "--objective", "dist2")
     assert rc == 0
     assert json.loads(out)["witness"] == [True, 3] and "true" in out

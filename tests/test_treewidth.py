@@ -14,6 +14,7 @@ from paraclose.treewidth import (
     eval_formula,
     greedy_tree_decomposition,
     height_limit,
+    node_floor,
     normalize_decomposition,
     selection_count,
     solve_treewidth,
@@ -300,6 +301,54 @@ def test_caps_and_budget():
     p = Poset.from_json(DIAMOND)
     with pytest.raises(LimitExceededError):
         build_formula(p, greedy_tree_decomposition(p), node_budget=3)
+
+
+def _random_order(rng, n):
+    ids = [f"v{i}" for i in range(n)]
+    q = rng.choice((0.0, 0.1, 0.3))
+    return Poset.from_json({
+        "elements": [{"id": e, "weight": [rng.randint(-5, 5), rng.randint(-5, 5)]} for e in ids],
+        "relations": [[a, b] for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < q],
+    })
+
+
+def test_node_floor_never_exceeds_the_formula():
+    # the up-front refusal is sound: every formula has at least node_floor
+    # nodes, so input it refuses would run over the same budget when built;
+    # one bag holding every element is a valid decomposition of any order
+    rng = random.Random(59)
+    for trial in range(150):
+        n = rng.randint(1, 11)
+        if trial % 3 == 0:
+            p = Poset.from_json(random_treewidth_poset(rng, n, width=rng.choice((1, 2, 3))))
+        else:
+            p = _random_order(rng, n)
+        one_bag = TreeDecomposition([(0, set(p.ids))], [])
+        for d in (greedy_tree_decomposition(p), one_bag):
+            f = build_formula(p, d)
+            floor = node_floor(p, normalize_decomposition(d))
+            assert floor <= f.size, (trial, d.to_json())
+            if floor < f.size:
+                # a budget between the floor and the real count passes the
+                # up-front check and is caught while the formula is built
+                with pytest.raises(LimitExceededError):
+                    build_formula(p, d, node_budget=floor)
+
+
+def test_wide_bag_is_refused_before_any_node(monkeypatch):
+    # 40 pairwise incomparable elements in one bag make at least 2^40
+    # nodes; the refusal comes before the first one is built
+    from paraclose import treewidth
+
+    def no_nodes(*args):
+        raise AssertionError("a formula node was built")
+
+    monkeypatch.setattr(treewidth, "Formula", no_nodes)
+    p = _antichain([(1, i) for i in range(40)])
+    fat = TreeDecomposition([(0, set(p.ids))], [])
+    with pytest.raises(LimitExceededError, match="formula exceeded the node budget of 1000000"):
+        build_formula(p, fat)
+    assert node_floor(p, fat) == 2**40
 
 
 def test_untracked_run_matches():

@@ -108,7 +108,7 @@ def test_cli_payloads_match_per_vertex_sorting(tmp_path, capsys):
     assert any(isinstance(x, str) for s in sets for x in s)
 
     def ref_dump(obj):
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps(obj, separators=(",", ":")) + "\n"
 
     assert cli.run(["sp", str(src), "--out", str(poly_path)]) == 0
     want = {
@@ -203,7 +203,7 @@ def _reference_bytes(verts, wits, sub, spec):
         out = {"value": str(value), "vertex": list(vertex)}
         if wits is not None:
             out["witness"] = wit(vertex)
-    return json.dumps(out, indent=2) + "\n"
+    return json.dumps(out, separators=(",", ":")) + "\n"
 
 
 def test_payloads_read_through_match_frozenset_reference(tmp_path, capsys):
