@@ -30,7 +30,6 @@ from .parametric import (
     Piece,
     maximize_quasiconvex,
     objective,
-    optimum_at,
     profile,
     profile_to_json,
     rat,

@@ -24,4 +24,4 @@ class StructureError(ParacloseError):
 
 class LimitExceededError(ParacloseError):
     """A configured safety cap was hit (element count for the brute-force
-    oracle, formula node budget)."""
+    oracle, bag states of the treewidth solver)."""

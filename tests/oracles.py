@@ -150,3 +150,16 @@ def freeset(s: Semiorder, square: GridSquare) -> set:
     lo = max(i0 + side, 0)
     hi = min(j0, len(s))
     return {s.ids[t] for t in range(lo, hi)}
+
+
+def check_lower_set_witnesses(poly: Polygon, poset) -> None:
+    """Assert that every vertex's witness is a lower set of the poset that
+    projects onto the vertex. A set closed under every cover pair is a lower
+    set, so the check costs one pass over the cover pairs per vertex and
+    still runs at n in the thousands."""
+    covers = [(poset.ids[i], poset.ids[j]) for i, j in poset.covers()]
+    weights = poset.weights
+    for v, s in zip(poly.vertices, poly.witness_sets()):
+        assert all(u in s for u, w in covers if w in s), v
+        ws = [weights[poset.index[e]] for e in s]
+        assert (sum(a for a, _ in ws), sum(b for _, b in ws)) == v

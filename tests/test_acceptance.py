@@ -21,6 +21,7 @@ from paraclose.errors import ParacloseError
 from paraclose.generate import (
     random_semiorder,
     random_sp_tree,
+    random_tree_order,
     random_treewidth_poset,
     random_width2_poset,
 )
@@ -28,18 +29,13 @@ from paraclose.parametric import maximize_quasiconvex, objective, optimum_at, pr
 from paraclose.polygon import hull_union, minkowski_sum
 from paraclose.poset import Poset, brute_polygon
 from paraclose.semiorder import Semiorder, solve_semiorder
-from paraclose.series_parallel import LEAF, SPTree, leaf, solve_sp, sp_to_poset
+from paraclose.series_parallel import LEAF, SPTree, leaf, solve_sp, sp_to_poset, tree_to_sp
 from paraclose import splay
 from paraclose.splay import SplayPolygon, combine_any, reset_splay_steps, splay_steps
-from paraclose.treewidth import (
-    build_formula,
-    greedy_tree_decomposition,
-    height_limit,
-    solve_treewidth,
-)
+from paraclose.treewidth import greedy_tree_decomposition, solve_treewidth
 from paraclose.width2 import solve_width2
 
-from oracles import random_polygon, slow_minkowski
+from oracles import check_lower_set_witnesses, random_polygon, slow_minkowski
 
 SEED_SEMI = 0xA1
 SEED_SP = 0xA2
@@ -209,21 +205,29 @@ def test_criterion_07_semiorder_hull_growth():
     )
 
 
-def test_criterion_08_formula_height():
-    violations = 0
-    checked = 0
-    worst = 0.0
-    for p in _tw_instances():
-        d = greedy_tree_decomposition(p)
-        f = build_formula(p, d)
-        bound = height_limit(len(p.ids), d.width)
-        worst = max(worst, f.height / bound)
-        violations += f.height > bound
-        checked += 1
+def test_criterion_08_treewidth_at_scale():
+    # far past the oracle, orders that are in two classes at once check the
+    # treewidth DP against the other class's solver: rooted-tree orders are
+    # series-parallel (greedy width 1), width-2 orders have small treewidth
+    t0 = time.perf_counter()
+    bad = 0
+    rng = random.Random(SEED_TW)
+    sp = tree_to_sp(random_tree_order(rng, 5000))
+    p = sp_to_poset(sp)
+    got = solve_treewidth(p)
+    bad += got != solve_sp(sp)
+    check_lower_set_witnesses(got, p)
+    for _ in range(3):
+        p = Poset.from_json(random_width2_poset(rng, 1000))
+        got = solve_treewidth(p)
+        bad += got != solve_width2(p, track=False)
+        check_lower_set_witnesses(got, p)
+    dt = time.perf_counter() - t0
     _report(
-        8, "formula-height", violations == 0,
-        f"{checked} formulas, {violations} violations of "
-        f"(w+2)(log1.5 n + 4); worst fill {worst:.2f}",
+        8, "treewidth-at-scale", bad == 0 and dt < 18.0,
+        f"tree order n=5000 vs solve_sp, 3 width-2 orders n=1000 vs "
+        f"solve_width2, {bad} mismatches, witnesses are lower sets, "
+        f"{dt:.1f}s (budget 18s)",
     )
 
 

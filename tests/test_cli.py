@@ -101,13 +101,13 @@ def test_treewidth_with_explicit_decomposition(tmp_path, capsys):
     assert Polygon.from_json(json.loads(out)) == brute_polygon(Poset.from_json(POSET))
 
 
-def test_treewidth_stops_at_the_formula_budget(tmp_path, capsys, monkeypatch):
-    # one bag of 12 incomparable elements makes at least 2^12 nodes; with
-    # the budget lowered (the real one takes seconds to fill) that is
-    # refused up front, and the CLI reports it as an input error
+def test_treewidth_stops_at_the_state_budget(tmp_path, capsys, monkeypatch):
+    # one bag of 12 incomparable elements has 2^12 assignments; with the
+    # budget lowered (the real one takes a fraction of a second to fill)
+    # that is refused, and the CLI reports it as an input error
     from paraclose import treewidth
 
-    monkeypatch.setattr(treewidth.build_formula, "__defaults__", (1000,))
+    monkeypatch.setattr(treewidth, "_STATE_BUDGET", 1000)
     ids = [f"v{i}" for i in range(12)]
     path = _write(tmp_path, "p.json", {
         "elements": [{"id": e, "weight": [1, i]} for i, e in enumerate(ids)],
@@ -116,16 +116,14 @@ def test_treewidth_stops_at_the_formula_budget(tmp_path, capsys, monkeypatch):
     dpath = _write(tmp_path, "d.json", {"bags": [{"id": 0, "elems": ids}], "edges": []})
     rc, out, err = _run(capsys, "treewidth", path, "--decomposition", dpath)
     assert rc == 1 and out == ""
-    assert "error: formula exceeded the node budget of 1000" in err
-    # the greedy decomposition has width 0 here and stays far below it
+    assert "error: bag assignments exceeded the state budget of 1000" in err
+    # the greedy decomposition has twelve one-element bags, 24 states in all
     rc, out, _ = _run(capsys, "treewidth", path)
     assert rc == 0 and len(json.loads(out)["vertices"]) > 2
-    # its 367 nodes pass the up-front floor (24) of a budget of 100, and
-    # the budget count kept while the formula is built refuses them
-    monkeypatch.setattr(treewidth.build_formula, "__defaults__", (100,))
+    monkeypatch.setattr(treewidth, "_STATE_BUDGET", 23)
     rc, out, err = _run(capsys, "treewidth", path)
     assert rc == 1 and out == ""
-    assert "error: formula exceeded the node budget of 100" in err
+    assert "error: bag assignments exceeded the state budget of 23" in err
 
 
 @pytest.mark.parametrize("argv", [
