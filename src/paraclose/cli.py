@@ -281,13 +281,13 @@ def _check_oracle(args, n, build_poset, got):
 
 def _polygon_out(args, n, build_poset, poly):
     _check_oracle(args, n, build_poset, poly)
-    _emit_json(args, poly.to_json(include_witnesses=not args.no_witness))
+    _emit_json(args, poly.to_json())
 
 
 def _cmd_oracle(args):
     poset = Poset.from_json(_load(args.input))
     poly = brute_polygon(poset, limit=args.oracle_limit, track=not args.no_witness)
-    _emit_json(args, poly.to_json(include_witnesses=not args.no_witness))
+    _emit_json(args, poly.to_json())
     return 0
 
 

@@ -18,7 +18,7 @@ def _w(rng, span):
     return [rng.randint(-span, span), rng.randint(-span, span)]
 
 
-def random_sp_tree(rng, n, span=9, prefix="x"):
+def random_sp_tree(rng, n, span=9):
     """Uniformly split decomposition tree with n leaves; explicit stack so
     chain-shaped splits cannot overflow the recursion limit."""
     ids = iter(range(n))
@@ -29,7 +29,7 @@ def random_sp_tree(rng, n, span=9, prefix="x"):
         if op == "build":
             if arg == 1:
                 i = next(ids)
-                vals.append(leaf(f"{prefix}{i}", tuple(_w(rng, span))))
+                vals.append(leaf(f"x{i}", tuple(_w(rng, span))))
             else:
                 m = rng.randint(1, arg - 1)
                 kind = SERIES if rng.random() < 0.5 else PARALLEL
@@ -52,11 +52,12 @@ def random_tree_order(rng, n, span=9):
     return {"root": {"id": "x0", "weight": _w(rng, span)}, "edges": edges}
 
 
-def random_semiorder(rng, n, span=9, utility_max=3, denom=8):
+def random_semiorder(rng, n, span=9, utility_max=3):
+    """Items with utilities in eighths from 0 to utility_max."""
     items = [
         {
             "id": f"x{i}",
-            "utility": rat_str(Fraction(rng.randint(0, utility_max * denom), denom)),
+            "utility": rat_str(Fraction(rng.randint(0, utility_max * 8), 8)),
             "weight": _w(rng, span),
         }
         for i in range(n)
@@ -86,9 +87,10 @@ def random_width2_poset(rng, n, span=9):
     return {"elements": elements, "relations": relations}
 
 
-def random_treewidth_poset(rng, n, width=3, span=9, keep=0.7):
+def random_treewidth_poset(rng, n, width=3, span=9):
     """Reachability order of a random partial k-tree DAG (k = width),
-    oriented low-to-high, so the underlying treewidth is at most `width`."""
+    oriented low-to-high, each k-tree edge kept with probability 0.7, so
+    the underlying treewidth is at most `width`."""
     k = min(width + 1, n)
     edges = {(i, j) for i in range(k) for j in range(i + 1, k)}
     cliques = [tuple(range(k))]
@@ -98,7 +100,7 @@ def random_treewidth_poset(rng, n, width=3, span=9, keep=0.7):
         edges.update((u, v) for u in base)
         cliques.append(tuple(sorted(base + [v])))
     relations = [
-        [f"x{u}", f"x{v}"] for u, v in sorted(edges) if rng.random() < keep
+        [f"x{u}", f"x{v}"] for u, v in sorted(edges) if rng.random() < 0.7
     ]
     elements = [{"id": f"x{i}", "weight": _w(rng, span)} for i in range(n)]
     return {"elements": elements, "relations": relations}

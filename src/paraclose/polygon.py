@@ -126,9 +126,11 @@ class Polygon:
                 return False
         return True
 
-    def to_json(self, include_witnesses=True):
+    def to_json(self):
+        """The payload: vertices, and the witnesses as lists in canonical id
+        order when the polygon tracks them."""
         out = {"vertices": [[x, y] for x, y in self.vertices]}
-        if include_witnesses and self.wit is not None:
+        if self.wit is not None:
             out["witnesses"] = self.witness_sets(ordered=True)
         return out
 

@@ -56,28 +56,23 @@ class Poset:
         self.index = {e: i for i, e in enumerate(self.ids)}
         if len(self.index) != n:
             raise InputFormatError("duplicate element id")
-        self.weights = [_check_weight(w, ("element", self.ids[i])) for i, w in enumerate(weights)]
-        if len(self.weights) != n:
+        if len(weights) != n:
             raise InputFormatError("weights/ids length mismatch")
+        self.weights = [_check_weight(w, ("element", e)) for e, w in zip(self.ids, weights)]
 
         succ = [0] * n
-        pred = [0] * n
         indeg = [0] * n
-        seen = set()
         for u, v in pairs:
             if u not in self.index or v not in self.index:
                 raise InputFormatError(f"relation ({u!r}, {v!r}) names unknown element")
             iu, iv = self.index[u], self.index[v]
             if iu == iv:
                 raise InputFormatError(f"element {u!r} related to itself")
-            if (iu, iv) in seen:
-                continue
-            seen.add((iu, iv))
-            succ[iu] |= 1 << iv
-            pred[iv] |= 1 << iu
+            bit = 1 << iv
+            if not succ[iu] & bit:  # a repeated pair counts once
+                succ[iu] |= bit
+                indeg[iv] += 1
 
-        for v in range(n):
-            indeg[v] = pred[v].bit_count()
         order = [v for v in range(n) if indeg[v] == 0]
         below = [0] * n
         head = 0
@@ -146,17 +141,19 @@ class Poset:
             )
         below = self.below
         order = self._topo
-
-        def rec(k, cur):
+        # an explicit stack, so a long chain cannot hit the recursion limit;
+        # "take" goes under "skip", so skip's sets come first, as they would
+        # from the recursive walk
+        stack = [(0, 0)]
+        while stack:
+            k, cur = stack.pop()
             if k == n:
                 yield cur
-                return
+                continue
             v = order[k]
-            yield from rec(k + 1, cur)
             if below[v] & ~cur == 0:
-                yield from rec(k + 1, cur | (1 << v))
-
-        yield from rec(0, 0)
+                stack.append((k + 1, cur | (1 << v)))
+            stack.append((k + 1, cur))
 
     def project(self, mask):
         a = b = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import InputFormatError
 from .gcpause import gc_paused
-from .parametric import rat, rat_str
+from .parametric import rat
 from .polygon import Polygon, hull_of_points, segment_zonotope
 from .poset import _check_id, _check_weight, semiorder_poset
 from .splay import combine_any, settle
@@ -70,14 +70,6 @@ class Semiorder:
 
     def to_poset(self):
         return semiorder_poset(self.ids, self.utilities, self.weights)
-
-    def to_json(self):
-        return {
-            "items": [
-                {"id": i, "utility": rat_str(u), "weight": list(w)}
-                for i, u, w in zip(self.ids, self.utilities, self.weights)
-            ]
-        }
 
     @staticmethod
     def from_json(data):

@@ -14,8 +14,6 @@ does not depend on that choice).
 
 from __future__ import annotations
 
-import json
-
 from .errors import InputFormatError
 from .gcpause import gc_paused
 from .polygon import Polygon
@@ -71,52 +69,39 @@ def _fold_nary(kind, children):
     return node
 
 
-def parse_sp(text):
-    """Read a decomposition tree from JSON text (or an already-parsed
-    object). Nodes are {"leaf": {"id":…, "weight":[a,b]}}, {"series":[…]}
-    or {"parallel":[…]}; composition lists may have any length >= 1."""
-    if isinstance(text, (str, bytes)):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise InputFormatError(f"not valid JSON: {e}") from None
-        except RecursionError:
-            raise InputFormatError("JSON nested too deeply") from None
-    else:
-        data = text
-
+def parse_sp(data):
+    """Read a decomposition tree from parsed JSON. Nodes are
+    {"leaf": {"id":…, "weight":[a,b]}}, {"series":[…]} or {"parallel":[…]};
+    composition lists may have any length >= 1."""
     seen = set()
     # iterative: JSON nesting may be deep for chain-shaped orders
-    def build(obj):
-        stack = [(obj, None)]
-        done = {}
-        while stack:
-            node, state = stack.pop()
-            if not isinstance(node, dict) or len(node) != 1:
-                raise InputFormatError(f"bad node: {node!r}")
-            (key, val), = node.items()
-            if key == LEAF:
-                if not isinstance(val, dict) or "id" not in val or "weight" not in val:
-                    raise InputFormatError(f"bad leaf: {val!r}")
-                _check_id(val["id"], "leaf")
-                if val["id"] in seen:
-                    raise InputFormatError(f"duplicate element id {val['id']!r}")
-                seen.add(val["id"])
-                done[id(node)] = leaf(val["id"], val["weight"])
-            elif key in (SERIES, PARALLEL):
-                if not isinstance(val, list) or not val:
-                    raise InputFormatError(f'"{key}" needs a nonempty list')
-                if state is None:
-                    stack.append((node, "ready"))
-                    for child in val:
-                        stack.append((child, None))
-                else:
-                    done[id(node)] = _fold_nary(key, [done[id(c)] for c in val])
+    stack = [(data, None)]
+    done = {}
+    while stack:
+        node, state = stack.pop()
+        if not isinstance(node, dict) or len(node) != 1:
+            raise InputFormatError(f"bad node: {node!r}")
+        (key, val), = node.items()
+        if key == LEAF:
+            if not isinstance(val, dict) or "id" not in val or "weight" not in val:
+                raise InputFormatError(f"bad leaf: {val!r}")
+            _check_id(val["id"], "leaf")
+            if val["id"] in seen:
+                raise InputFormatError(f"duplicate element id {val['id']!r}")
+            seen.add(val["id"])
+            done[id(node)] = leaf(val["id"], val["weight"])
+        elif key in (SERIES, PARALLEL):
+            if not isinstance(val, list) or not val:
+                raise InputFormatError(f'"{key}" needs a nonempty list')
+            if state is None:
+                stack.append((node, "ready"))
+                for child in val:
+                    stack.append((child, None))
             else:
-                raise InputFormatError(f"unknown node kind {key!r}")
-        return done[id(obj)]
-
-    return build(data)
+                done[id(node)] = _fold_nary(key, [done[id(c)] for c in val])
+        else:
+            raise InputFormatError(f"unknown node kind {key!r}")
+    return done[id(data)]
 
 
 def sp_tree_to_json(t):
@@ -186,27 +171,22 @@ def solve_sp(t, track=True) -> Polygon:
 
 
 def _solve_sp(t, track):
-    acc = {}
-    allw = {}
+    # one (polygon, witness of the whole subtree) pair per finished subtree;
+    # in postorder a node's children are the top two, the right one on top
+    stack = []
     for node in _postorder(t):
         if node.kind == LEAF:
-            wit = None
-            if track:
-                wit = allw[id(node)] = wleaf((node.id,))
-            acc[id(node)] = _leaf_polygon(node.weight, wit)
+            wit = wleaf((node.id,)) if track else None
+            stack.append((_leaf_polygon(node.weight, wit), wit))
+            continue
+        r, rw = stack.pop()
+        l, lw = stack.pop()
+        if node.kind == PARALLEL:
+            poly = combine_any("+", l, r)
         else:
-            l = acc.pop(id(node.left))
-            r = acc.pop(id(node.right))
-            if node.kind == PARALLEL:
-                acc[id(node)] = combine_any("+", l, r)
-            else:
-                tag = allw[id(node.left)] if track else None
-                r = r.translate(node.left.total, tag)
-                acc[id(node)] = combine_any("u", l, r)
-            if track:
-                allw[id(node)] = wunion(allw[id(node.left)],
-                                        allw[id(node.right)])
-    return settle(acc[id(t)])
+            poly = combine_any("u", l, r.translate(node.left.total, lw))
+        stack.append((poly, wunion(lw, rw)))
+    return settle(stack[0][0])
 
 
 def tree_to_sp(data):

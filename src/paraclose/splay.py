@@ -313,14 +313,6 @@ class SplayPolygon:
             ch.root.dy += dy
         return self
 
-    def to_polygon(self) -> Polygon:
-        """The polygon held, leaving the engine usable; settle() reads the
-        final result of a solve and frees the trees."""
-        self._check()
-        if self.lo is None:
-            return EMPTY_POLYGON
-        return _polygon(_chain_list(self.lo), _chain_list(self.up), self.track)
-
 
 def _polygon(low, upp, track):
     """Polygon from its lower and upper (point, handle) chains."""

@@ -27,6 +27,7 @@ most the sum over bags of 2^|bag| of them; _STATE_BUDGET caps that total.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 
 from .errors import InputFormatError, LimitExceededError, StructureError
 from .polygon import Polygon, _is_int_pair, hull_union, minkowski_sum, point
@@ -63,18 +64,6 @@ class TreeDecomposition:
     @property
     def width(self):
         return max((len(b) for b in self.bags.values()), default=0) - 1
-
-    def edges(self):
-        return [(u, v) for u in sorted(self.adj) for v in sorted(self.adj[u]) if u < v]
-
-    def to_json(self):
-        return {
-            "bags": [
-                {"id": bid, "elems": sorted(map(str, self.bags[bid]))}
-                for bid in sorted(self.bags)
-            ],
-            "edges": [list(e) for e in self.edges()],
-        }
 
     @staticmethod
     def from_json(data):
@@ -141,25 +130,33 @@ def validate_decomposition(d: TreeDecomposition, poset) -> None:
 
 def greedy_tree_decomposition(poset) -> TreeDecomposition:
     """Min-degree elimination over the cover graph; valid by construction,
-    width is whatever the heuristic achieves."""
+    width is whatever the heuristic achieves. Each step eliminates the alive
+    vertex of least (degree, index), taken from a heap that gets a fresh
+    entry whenever a neighbour set changes; entries of eliminated vertices
+    or of stale degrees are skipped when they surface."""
     n = len(poset.ids)
     if n == 0:
         return TreeDecomposition([(0, frozenset())], [])
-    nbr = {v: set() for v in range(n)}
+    nbr = [set() for _ in range(n)]
     for i, j in poset.covers():
         nbr[i].add(j)
         nbr[j].add(i)
-    alive = set(range(n))
+    heap = [(len(s), v) for v, s in enumerate(nbr)]
+    heapify(heap)
     bags = []
     links = []  # neighbor sets at elimination time, as positions later on
-    pos = {}
+    pos = [None] * n
     for step in range(n):
-        v = min(alive, key=lambda a: (len(nbr[a]), a))
-        alive.discard(v)
-        around = set(nbr[v])
+        while True:
+            d, v = heappop(heap)
+            if pos[v] is None and d == len(nbr[v]):
+                break
+        around = nbr[v]
         for u in around:
+            nbr[u] |= around
+            nbr[u].discard(u)
             nbr[u].discard(v)
-            nbr[u].update(around - {u})
+            heappush(heap, (len(nbr[u]), u))
         bags.append((step, {poset.ids[v]} | {poset.ids[u] for u in around}))
         links.append(around)
         pos[v] = step

@@ -202,8 +202,3 @@ def _leaf_mask(ranks):
     for r in ranks:
         digits[r] = 49  # ord("1")
     return int(digits[::-1], 2)
-
-
-def expand(node):
-    """Resolve a witness handle to the frozenset of element ids it denotes."""
-    return expand_all([node])[0]

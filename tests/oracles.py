@@ -163,3 +163,31 @@ def check_lower_set_witnesses(poly: Polygon, poset) -> None:
         assert all(u in s for u, w in covers if w in s), v
         ws = [weights[poset.index[e]] for e in s]
         assert (sum(a for a, _ in ws), sum(b for _, b in ws)) == v
+
+
+def greedy_decomposition_min_scan(poset):
+    """Bags and edges of min-degree elimination over the cover graph, each
+    vertex picked by a min over every alive vertex of (degree, index): the
+    quadratic reference for treewidth.greedy_tree_decomposition."""
+    n = len(poset.ids)
+    nbr = {v: set() for v in range(n)}
+    for i, j in poset.covers():
+        nbr[i].add(j)
+        nbr[j].add(i)
+    alive = set(range(n))
+    bags, links, pos = [], [], {}
+    for step in range(n):
+        v = min(alive, key=lambda a: (len(nbr[a]), a))
+        alive.discard(v)
+        around = set(nbr[v])
+        for u in around:
+            nbr[u].discard(v)
+            nbr[u].update(around - {u})
+        bags.append((step, {poset.ids[v]} | {poset.ids[u] for u in around}))
+        links.append(around)
+        pos[v] = step
+    edges = [
+        (step, min((pos[u] for u in around), default=step + 1))
+        for step, around in enumerate(links[:-1])
+    ]
+    return bags, edges

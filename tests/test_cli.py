@@ -51,6 +51,19 @@ def test_oracle_outputs_polygon_json(tmp_path, capsys):
     assert "witnesses" in json.loads(out)
 
 
+def test_oracle_on_a_long_chain(tmp_path, capsys):
+    n = 1500
+    path = _write(tmp_path, "chain.json", {
+        "elements": [{"id": i, "weight": [1, i % 3]} for i in range(n)],
+        "relations": [[i, i + 1] for i in range(n - 1)],
+    })
+    rc, out, err = _run(capsys, "oracle", path, "--oracle-limit", "2000")
+    assert (rc, err) == (0, "")
+    got = json.loads(out)
+    assert got["vertices"][0] == [0, 0]
+    assert all(w == list(range(len(w))) for w in got["witnesses"])
+
+
 def test_no_witness_flag(tmp_path, capsys):
     path = _write(tmp_path, "p.json", POSET)
     rc, out, _ = _run(capsys, "oracle", path, "--no-witness")

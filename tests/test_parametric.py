@@ -17,7 +17,7 @@ from paraclose.parametric import (
 )
 from paraclose.polygon import EMPTY_POLYGON, hull_of_points, point
 from paraclose.poset import Poset, brute_polygon
-from paraclose.witness import expand
+from paraclose.witness import expand_all
 
 
 def random_poset(rng, n):
@@ -77,7 +77,7 @@ def test_profile_matches_brute_force():
             assert got.value_at(lam) == best
             # witness realizes the claimed value
             mask = 0
-            for e in expand(got.witness):
+            for e in expand_all([got.witness])[0]:
                 mask |= 1 << poset.index[e]
             assert poset.is_lower_set(mask)
             a, b = poset.project(mask)
@@ -119,7 +119,7 @@ def test_maximize_quasiconvex_vs_enumeration():
             assert got == max(vals)
             assert fn(v[0], v[1]) == got
             mask = 0
-            for e in expand(w):
+            for e in expand_all([w])[0]:
                 mask |= 1 << poset.index[e]
             assert poset.project(mask) == v
 

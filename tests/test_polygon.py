@@ -24,7 +24,7 @@ from paraclose.polygon import (
     point,
     segment_zonotope,
 )
-from paraclose.witness import WUnion, expand, wleaf
+from paraclose.witness import WUnion, expand_all, wleaf
 
 points_strategy = st.lists(
     st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=0, max_size=14
@@ -96,10 +96,9 @@ def test_minkowski_witnesses_pair_sources():
         p = random_polygon(rng, kmax=8, label="P")
         q = random_polygon(rng, kmax=8, label="Q")
         got = minkowski_sum(p, q)
-        pw = {expand(w): v for v, w in zip(p.vertices, p.wit)}
-        qw = {expand(w): v for v, w in zip(q.vertices, q.wit)}
-        for v, w in zip(got.vertices, got.wit):
-            ids = expand(w)
+        pw = dict(zip(p.witness_sets(), p.vertices))
+        qw = dict(zip(q.witness_sets(), q.vertices))
+        for v, ids in zip(got.vertices, got.witness_sets()):
             a = frozenset(t for t in ids if t[0] == "P")
             b = frozenset(t for t in ids if t[0] == "Q")
             assert a in pw and b in qw
@@ -115,9 +114,9 @@ def test_union_random_vs_oracle():
         assert got.vertices == slow_union(p, q)
         assert is_canonical(got)
         assert len(got) <= len(p) + len(q)
-        for v, w in zip(got.vertices, got.wit):
+        for v, s in zip(got.vertices, got.witness_sets()):
             assert v in p.vertices or v in q.vertices
-            assert expand(w)  # every vertex keeps some source witness
+            assert s  # every vertex keeps some source witness
 
 
 def test_union_degenerate():
@@ -230,7 +229,7 @@ def test_zonotope_witness_dag_is_linear():
     assert unions <= 4 * k
     # spot-check a few vertices against their generators
     for j in rng.sample(range(2 * k), 20):
-        ws = expand(z.wit[j])
+        ws = expand_all([z.wit[j]])[0]
         assert (sum(gens[i][0] for i in ws), sum(gens[i][1] for i in ws)) == z.vertices[j]
 
 

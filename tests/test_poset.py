@@ -33,6 +33,18 @@ def test_validation_errors():
         Poset(["x"], [(0, 0)], [("x", "x")])
 
 
+def test_weights_and_ids_of_different_lengths():
+    for weights in ([(1, 0), (2, 0)], [], [(1.5, 0), (2, 0)]):
+        with pytest.raises(InputFormatError, match="length mismatch"):
+            Poset(["a"], weights, [])
+
+
+def test_repeated_pairs_count_once():
+    p = Poset("abc", [(0, 0)] * 3, [("a", "b"), ("a", "b"), ("b", "c"), ("a", "b")])
+    assert sorted(p.covers()) == [(0, 1), (1, 2)]
+    assert p.less("a", "c") and not p.less("c", "a")
+
+
 def test_transitive_closure_and_covers():
     p = Poset(["1", "2", "3"], [(0, 0)] * 3, [("1", "2"), ("2", "3")])
     assert p.less("1", "3")
@@ -90,6 +102,39 @@ def test_lower_sets_match_filter():
         got = sorted(p.lower_sets())
         want = sorted(m for m in range(1 << n) if p.is_lower_set(m))
         assert got == want
+
+
+def _lower_sets_recursive(p):
+    """Reference walk: take/skip over the topological order, skip first."""
+    def rec(k, cur):
+        if k == len(p):
+            yield cur
+            return
+        v = p._topo[k]
+        yield from rec(k + 1, cur)
+        if p.below[v] & ~cur == 0:
+            yield from rec(k + 1, cur | (1 << v))
+
+    return list(rec(0, 0))
+
+
+def test_lower_sets_keep_the_recursive_order():
+    # brute_polygon keeps the first witness of a repeated point, so the
+    # enumeration order decides the oracle's witnesses
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        pairs = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.3]
+        p = Poset(list(range(n)), [(0, 0)] * n, pairs)
+        assert list(p.lower_sets()) == _lower_sets_recursive(p)
+
+
+def test_lower_sets_of_a_long_chain():
+    # one level per element: far deeper than the recursion limit allows
+    n = 1500
+    p = Poset(list(range(n)), [(1, 0)] * n, [(i, i + 1) for i in range(n - 1)])
+    got = list(p.lower_sets(limit=2000))
+    assert got == [(1 << k) - 1 for k in range(n + 1)]
 
 
 def test_limit_guard():

