@@ -10,7 +10,6 @@ over the polygon at a vertex, so they are maximized by a scan.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputFormatError, ParacloseError
@@ -43,7 +42,6 @@ def rat_str(value):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
 class Piece:
     """One maximal interval (lo, hi] of lam sharing an optimal vertex.
 
@@ -51,10 +49,13 @@ class Piece:
     is the canonical owner (both neighbours tie there).
     """
 
-    vertex: tuple
-    witness: object
-    lo: Fraction | None
-    hi: Fraction | None
+    __slots__ = ("vertex", "witness", "lo", "hi")
+
+    def __init__(self, vertex, witness, lo, hi):
+        self.vertex = vertex
+        self.witness = witness
+        self.lo = lo
+        self.hi = hi
 
     def value_at(self, lam):
         return self.vertex[0] * lam + self.vertex[1]

@@ -23,7 +23,7 @@ import functools
 from operator import itemgetter
 
 from .errors import InputFormatError
-from .witness import EMPTY, chain, expand_all, read_leaf, wleaf, wunion
+from .witness import EMPTY, WZonotope, expand_all, read_leaf, wunion
 
 
 def cross(o, a, b):
@@ -189,7 +189,12 @@ def _scan(seq):
     keeps the strict left turns, dropping collinear middles."""
     out = []
     for item in seq:
-        while len(out) >= 2 and cross(out[-2][0], out[-1][0], item[0]) <= 0:
+        x, y = item[0]
+        while len(out) > 1:
+            ox, oy = out[-2][0]
+            ax, ay = out[-1][0]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):  # a left turn
+                break
             out.pop()
         out.append(item)
     return out
@@ -354,74 +359,97 @@ def hull_union(p, q):
     )
 
 
-def segment_zonotope(generators, gen_ids=None):
+def direction_ranks(generators):
+    """Rank of each generator's direction in angle order: nonzero
+    generators are normalized to half 0 and sorted once by _dir_cmp, and
+    parallel ones share a rank. Zero vectors get -1.
+
+    A caller that builds many zonotopes over one set of generators ranks
+    them once and passes each zonotope its slice of the ranks."""
+    dirs = []
+    for idx, (gx, gy) in enumerate(generators):
+        if gx == 0 and gy == 0:
+            continue
+        if half((gx, gy)) == 1:
+            gx, gy = -gx, -gy
+        dirs.append(((gx, gy), idx))
+    dirs.sort(key=_dir_sort_key)
+    ranks = [-1] * len(generators)
+    r = -1
+    prev = None
+    for d, idx in dirs:
+        if prev is None or crossv(prev, d) != 0:
+            r += 1
+            prev = d
+        ranks[idx] = r
+    return ranks
+
+
+def segment_zonotope(generators, gen_ids=None, ranks=None):
     """Minkowski sum of the segments {(0,0), g} for each generator g.
 
-    generators: iterable of integer pairs; zero vectors are skipped (their
+    generators: sequence of integer pairs; zero vectors are skipped (their
     elements are simply left out of every witness, which is always valid).
     gen_ids: optional parallel list of ids naming the generators. Witnesses
-    are tracked exactly when gen_ids is given, as four shared chains of
-    witness nodes (witness.chain): O(k) nodes for k generators.
+    are tracked exactly when gen_ids is given, as lazy handles into one
+    witness.WZonotope record of the groups' ids: O(k) for k generators, and
+    the record's chains of witness nodes are built only when expand_all
+    first reaches one of its vertices.
+    ranks: optional parallel list of direction ranks, as direction_ranks
+    gives them (or a slice of ranks over a larger set of generators);
+    computed here when not given.
 
     Returns a canonical polygon with at most 2k vertices.
     """
-    gens = []
-    base_x = base_y = 0
+    if ranks is None:
+        ranks = direction_ranks(generators)
     track = gen_ids is not None
-    for idx, g in enumerate(generators):
-        gx, gy = g
-        if gx == 0 and gy == 0:
-            continue
-        gid = gen_ids[idx] if track else None
-        if half((gx, gy)) == 1:
+    base_x = base_y = 0
+    # Group parallel generators: one edge per direction class, in angle
+    # order, with the ids of its kept and of its flipped generators. The
+    # sort is stable, so each group keeps its generators in input order.
+    dxs, dys, kept, flip = [], [], [], []
+    last = -1
+    for idx in sorted(range(len(ranks)), key=ranks.__getitem__):
+        r = ranks[idx]
+        if r < 0:
+            continue  # a zero vector
+        gx, gy = generators[idx]
+        flipped = not (gx > 0 or (gx == 0 and gy > 0))
+        if flipped:
             # Normalize to half 0; a flipped generator is "taken" at lexmin.
             base_x += gx
             base_y += gy
-            gens.append(((-gx, -gy), gid, True))
+            gx, gy = -gx, -gy
+        if r == last:
+            dxs[-1] += gx
+            dys[-1] += gy
         else:
-            gens.append(((gx, gy), gid, False))
-    if not gens:
+            last = r
+            dxs.append(gx)
+            dys.append(gy)
+            if track:
+                kept.append([])
+                flip.append([])
+        if track:
+            (flip if flipped else kept)[-1].append(gen_ids[idx])
+    if not dxs:
         return Polygon(((base_x, base_y),), (EMPTY,) if track else None)
-    if len(gens) == 2:
-        if _dir_cmp(gens[0], gens[1]) > 0:
-            gens.reverse()
-    elif len(gens) > 2:
-        gens.sort(key=_dir_sort_key)
-    # Group parallel generators: one edge per direction class, grown in
-    # place, with the ids of its kept and of its flipped generators.
-    groups = []
-    for d, gid, flipped in gens:
-        if groups and crossv(groups[-1][0], d) == 0:
-            group = groups[-1]
-            pd = group[0]
-            group[0] = (pd[0] + d[0], pd[1] + d[1])
-        else:
-            group = [d, [], []]
-            groups.append(group)
-        group[2 if flipped else 1].append(gid)
-    verts = [(base_x, base_y)]
     # Walk half 0 (forward edges) then half 1 (the same directions reversed).
-    for sign in (1, -1):
-        for d, _, _ in groups:
-            x, y = verts[-1]
-            verts.append((x + sign * d[0], y + sign * d[1]))
-    assert verts[-1] == verts[0]
-    verts.pop()
+    x, y = base_x, base_y
+    verts = []
+    for dx, dy in zip(dxs, dys):
+        verts.append((x, y))
+        x += dx
+        y += dy
+    for dx, dy in zip(dxs, dys):
+        verts.append((x, y))
+        x -= dx
+        y -= dy
+    assert (x, y) == verts[0]
     if not track:
         return Polygon(verts)
-    # A forward step over group j takes its kept generators K_j and drops
-    # its flipped ones F_j; a backward step does the reverse. So forward
-    # vertex j holds K_0..K_{j-1} and F_j..F_{m-1}, and backward vertex
-    # m + j holds K_j..K_{m-1} and F_0..F_{j-1}: one union of a prefix and
-    # a suffix chain each.
-    kept = [wleaf(k) for _, k, _ in groups]
-    flip = [wleaf(f) for _, _, f in groups]
-    kpre, fpre = chain(kept), chain(flip)
-    ksuf, fsuf = chain(reversed(kept))[::-1], chain(reversed(flip))[::-1]
-    m = len(groups)
-    wits = [wunion(a, b) for a, b in zip(kpre[:m], fsuf)]
-    wits += [wunion(a, b) for a, b in zip(ksuf[:m], fpre)]
-    return Polygon(verts, wits)
+    return Polygon(verts, WZonotope(kept, flip).handles())
 
 
 def _dir_cmp(a, b):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .errors import InputFormatError
 from .gcpause import gc_paused
 from .parametric import rat
-from .polygon import Polygon, hull_of_points, segment_zonotope
+from .polygon import Polygon, direction_ranks, hull_of_points, segment_zonotope
 from .poset import _check_id, _check_weight, semiorder_poset
 from .splay import combine_any, settle
 from .witness import prefix_tags, wleaf
@@ -121,6 +121,10 @@ def _solve_semiorder(s, track):
         py[k + 1] = py[k] + w[k][1]
     splits = {}
 
+    # every zonotope's generators are items, so their directions are
+    # ranked once here and each zonotope sorts by its slice of the ranks
+    ranks = direction_ranks(w)
+
     def zono(ranges):
         gens = None
         gids = None
@@ -128,14 +132,16 @@ def _solve_semiorder(s, track):
             if lo < hi:
                 if gens is None:
                     gens = list(w[lo:hi])
+                    rks = ranks[lo:hi]
                     gids = list(ids[lo:hi]) if track else None
                 else:
                     gens.extend(w[lo:hi])
+                    rks.extend(ranks[lo:hi])
                     if track:
                         gids.extend(ids[lo:hi])
         if gens is None:
             return None
-        return segment_zonotope(gens, gids)
+        return segment_zonotope(gens, gids, rks)
 
     def go(a, b, side):
         # Columns [a, a+side) and rows [b, b+side) of the (p, q) grid. The

@@ -8,8 +8,17 @@ and only expanded to concrete id sets on demand.
 A run of growing sets, such as the prefixes of a sequence, is one chain:
 chain(handles) gives the unions of handles[:k] for every k, each one node over
 the previous, so all of them together cost as many nodes as there are handles.
-The semiorder's prefix hull, the width-2 solver's chain prefixes and the four
-prefix/suffix runs behind every segment zonotope's vertices are built this way.
+The semiorder's prefix hull and the width-2 solver's chain prefixes are built
+this way.
+
+A segment zonotope's vertex witnesses are the unions of four such chains
+(see WZonotope), but most of a zonotope's vertices die in the next hull
+union, so they are built only when first expanded. The zonotope keeps one
+WZonotope record of its groups' ids, and each vertex the O(1) lazy handle
+(record, j), a tuple. wunion and the merges hold lazy handles like any
+other; expand_all builds a record's chains the first time its walk reaches
+one of the record's handles, and a zonotope none of whose vertices survive
+is never built.
 
 All the handles of one polygon (or profile) are expanded together by
 expand_all: one postorder walk over the DAG they share gives every id one bit
@@ -107,6 +116,50 @@ def chain(handles) -> list:
     return out
 
 
+class WZonotope:
+    """The witnesses of one segment zonotope's 2m vertices, kept as its m
+    parallel groups' ids until first expanded.
+
+    A forward step over group j takes its kept generators K_j and drops its
+    flipped ones F_j; a backward step does the reverse. So forward vertex j
+    holds K_0..K_{j-1} and F_j..F_{m-1}, and backward vertex m + j holds
+    K_j..K_{m-1} and F_0..F_{j-1}: one union of a prefix and a suffix
+    chain each, O(m) nodes for all of them.
+    """
+
+    __slots__ = ("kept", "flip", "wits")
+
+    def __init__(self, kept, flip):
+        self.kept = kept  # per group, the ids of its kept generators
+        self.flip = flip  # and of its flipped ones
+        self.wits = None
+
+    def handles(self) -> list:
+        """The lazy handles (record, j) of the vertices, in vertex order."""
+        n = 2 * len(self.kept) if self.wits is None else len(self.wits)
+        return [(self, j) for j in range(n)]
+
+    def build(self) -> list:
+        """The vertices' witness nodes, built on the first call."""
+        if self.wits is None:
+            kept = [wleaf(k) for k in self.kept]
+            flip = [wleaf(f) for f in self.flip]
+            kpre, fpre = chain(kept), chain(flip)
+            ksuf, fsuf = chain(reversed(kept))[::-1], chain(reversed(flip))[::-1]
+            m = len(kept)
+            wits = [wunion(a, b) for a, b in zip(kpre[:m], fsuf)]
+            wits += [wunion(a, b) for a, b in zip(ksuf[:m], fpre)]
+            self.wits = wits
+            self.kept = self.flip = None  # the leaves hold the ids now
+        return self.wits
+
+
+def resolve(h):
+    """The witness node a handle stands for: a lazy handle's built node,
+    any other handle itself."""
+    return h[0].build()[h[1]] if type(h) is tuple else h
+
+
 def prefix_tags(items) -> list:
     """Handles of the prefixes items[:k] for k = 0..len(items)."""
     return chain(wleaf((x,)) for x in items)
@@ -126,8 +179,10 @@ def expand_all(handles, ordered=False):
     one bit (in canonical order, or first-seen order if not ordered),
     every node the OR of its children's masks, and a node's mask is
     dropped as soon as the last node or handle that reads it has done so.
+    Lazy zonotope handles are built as the walk reaches them, and a union
+    over one is repointed at the built node, which denotes the same set.
     """
-    handles = list(handles)
+    handles = [resolve(h) for h in handles]
     # refs[id(node)]: parents in the DAG plus handle slots still to read it
     refs: dict[int, int] = {}
     post = []  # every node under the handles once, children before parents
@@ -149,6 +204,10 @@ def expand_all(handles, ordered=False):
                 post.append(cur)
                 continue
             stack.append((cur,))
+            if type(cur.left) is tuple:
+                cur.left = resolve(cur.left)
+            if type(cur.right) is tuple:
+                cur.right = resolve(cur.right)
             for c in (cur.left, cur.right):
                 refs[id(c)] = refs.get(id(c), 0) + 1
                 # pushed again even if already waiting lower in the stack,

@@ -17,6 +17,7 @@ from paraclose.polygon import (
     EMPTY_POLYGON,
     Polygon,
     _chains,
+    direction_ranks,
     hull_of_points,
     hull_union,
     is_canonical,
@@ -24,7 +25,7 @@ from paraclose.polygon import (
     point,
     segment_zonotope,
 )
-from paraclose.witness import WUnion, expand_all, wleaf
+from paraclose.witness import WLeaf, WUnion, expand_all, resolve, wleaf
 
 points_strategy = st.lists(
     st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=0, max_size=14
@@ -140,6 +141,15 @@ def test_zonotope_hand_cases():
     assert z.witness_sets() == [{"b"}, frozenset(), {"a"}, {"a", "b"}]
 
 
+def test_direction_ranks():
+    # by angle from -90 (exclusive) to +90 degrees after turning each
+    # generator into half 0; parallel and opposite generators share a rank
+    gens = [(0, 1), (1, 0), (0, 0), (-2, 0), (1, -1), (0, -3), (2, 2), (-1, 1)]
+    assert direction_ranks(gens) == [3, 1, -1, 1, 0, 3, 2, 0]
+    assert direction_ranks([]) == []
+    assert direction_ranks([(0, 0)]) == [-1]
+
+
 def test_zonotope_many_parallel_generators():
     # one parallel group of 10^5 generators, half of them pointing the
     # other way; growing the group must stay linear in its size
@@ -179,23 +189,33 @@ def test_zonotope_random_vs_oracle():
                 (dx, dy), m = rng.choice(dirs), rng.choice((-2, -1, 1, 3))
                 gens.append((m * dx, m * dy))
         ids = [f"g{i}" for i in range(k)]
-        got = segment_zonotope(gens, ids)
-        assert got.vertices == slow_zonotope(gens)
-        assert is_canonical(got)
-        assert len(got) <= max(1, 2 * k)
-        assert got.witness_sets() == slow_zonotope_witnesses(gens, ids)
-        # each witness is a subset of generators summing to its vertex
-        for v, ids_here in zip(got.vertices, got.witness_sets()):
-            sx = sum(gens[int(g[1:])][0] for g in ids_here)
-            sy = sum(gens[int(g[1:])][1] for g in ids_here)
-            assert (sx, sy) == v
+        # as semiorder calls it: the generators are two ranges of a larger
+        # list, ranked once over the whole list
+        c = rng.randint(0, k)
+        pad = [[(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(0, 5))]
+               for _ in range(3)]
+        pool = pad[0] + gens[:c] + pad[1] + gens[c:] + pad[2]
+        ranks = direction_ranks(pool)
+        at, bt = len(pad[0]), len(pad[0]) + c + len(pad[1])
+        sliced = ranks[at:at + c] + ranks[bt:bt + k - c]
+        for got in (segment_zonotope(gens, ids), segment_zonotope(gens, ids, sliced)):
+            assert got.vertices == slow_zonotope(gens)
+            assert is_canonical(got)
+            assert len(got) <= max(1, 2 * k)
+            assert got.witness_sets() == slow_zonotope_witnesses(gens, ids)
+            # each witness is a subset of generators summing to its vertex
+            for v, ids_here in zip(got.vertices, got.witness_sets()):
+                sx = sum(gens[int(g[1:])][0] for g in ids_here)
+                sy = sum(gens[int(g[1:])][1] for g in ids_here)
+                assert (sx, sy) == v
 
 
-def test_zonotope_witness_dag_is_linear():
+def test_zonotope_witness_dag_is_linear(monkeypatch):
     # k general generators, about half of them flipped: the witnesses of
     # the 2k vertices share one leaf per generator, at most 2k chain nodes
     # and at most one union per vertex, where explicit sets would hold
-    # about k^2 ids
+    # about k^2 ids. None of those nodes exists before the witnesses are
+    # first expanded.
     import time
 
     rng = random.Random(5)
@@ -212,9 +232,26 @@ def test_zonotope_witness_dag_is_linear():
         times[track] = best
     assert len(z) == 2 * k
     assert times[True] < 4 * times[False] + 0.2, times
+
+    made = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def __init__(self, *args):
+            made.append(cls)
+            init(self, *args)
+
+        return __init__
+
+    with monkeypatch.context() as mp:
+        for cls in (WLeaf, WUnion):
+            mp.setattr(cls, "__init__", counting(cls))
+        z = segment_zonotope(gens, ids)
+    assert made == []
     leaves = unions = 0
     seen = set()
-    stack = list(z.wit)
+    stack = [resolve(h) for h in z.wit]
     while stack:
         node = stack.pop()
         if id(node) in seen:

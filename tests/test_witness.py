@@ -12,18 +12,34 @@ from paraclose.parametric import maximize_quasiconvex, objective, profile
 from paraclose.polygon import Polygon, hull_of_points
 from paraclose.series_parallel import parse_sp, solve_sp, sp_tree_to_json
 from paraclose.witness import (
-    EMPTY, WLeaf, WUnion, expand_all, id_key, read_leaf, wleaf, wunion,
+    EMPTY, WLeaf, WUnion, WZonotope, expand_all, id_key, read_leaf, wleaf, wunion,
 )
 
 
+def _zonotope_vertex(rec, j):
+    """Vertex j's set of an unbuilt WZonotope, from its groups' ids: the
+    kept ids of the groups before j and the flipped ids of the rest, or on
+    the way back the kept ids from j - m on and the flipped ids before."""
+    m = len(rec.kept)
+    if j < m:
+        parts = rec.kept[:j] + rec.flip[j:]
+    else:
+        parts = rec.kept[j - m:] + rec.flip[:j - m]
+    return frozenset().union(*parts)
+
+
 def _reference(handles):
-    """Frozenset union at every node, memoized on node identity."""
+    """Frozenset union at every node, memoized on node identity. Lazy
+    zonotope handles are read off their records' ids, so this must run
+    before the records are built."""
     memo = {}
 
     def go(node):
         if id(node) not in memo:
             if type(node) is WLeaf:
                 memo[id(node)] = node.ids
+            elif type(node) is tuple:
+                memo[id(node)] = _zonotope_vertex(*node)
             else:
                 memo[id(node)] = go(node.left) | go(node.right)
         return memo[id(node)]
@@ -39,10 +55,17 @@ class Opaque:
 
 def _random_dag(rng, ids):
     """Handles into one random DAG: shared subtrees, unions that overlap or
-    repeat a child, EMPTY, and None handles."""
+    repeat a child, EMPTY, None handles, and lazy zonotope handles, several
+    of them on one record, as handles and under unions."""
     nodes = [EMPTY]
     for _ in range(rng.randint(1, 6)):
         nodes.append(wleaf(rng.sample(ids, rng.randint(0, min(5, len(ids))))))
+    for _ in range(rng.randint(0, 2)):
+        m = rng.randint(1, 4)
+        groups = [[rng.sample(ids, rng.randint(0, min(3, len(ids)))) for _ in range(m)]
+                  for _ in range(2)]
+        vertices = WZonotope(*groups).handles()
+        nodes += rng.sample(vertices, rng.randint(1, len(vertices)))
     for _ in range(rng.randint(0, 40)):
         a, b = rng.choice(nodes), rng.choice(nodes)
         nodes.append(WUnion(a, b) if rng.random() < 0.7 else wunion(a, b))
@@ -56,9 +79,11 @@ def test_expand_all_matches_frozenset_union():
         rng.shuffle(ids)
         handles = _random_dag(rng, ids)
         want = _reference(handles)
-        assert expand_all(handles) == want, trial
-        got = expand_all(handles, ordered=True)
-        assert got == [None if s is None else sorted(s, key=id_key) for s in want], trial
+        ordered = [None if s is None else sorted(s, key=id_key) for s in want]
+        # the first call builds the zonotope records, the second reads them
+        for _ in range(2):
+            assert expand_all(handles) == want, trial
+            assert expand_all(handles, ordered=True) == ordered, trial
         assert [expand_all([h])[0] for h in handles] == want, trial
 
 
@@ -66,8 +91,9 @@ def test_expand_all_unorderable_ids_without_key():
     rng = random.Random(12)
     for trial in range(200):
         handles = _random_dag(rng, [Opaque() for _ in range(rng.randint(1, 10))])
+        want = _reference(handles)
         got = expand_all(handles)
-        assert got == _reference(handles), trial
+        assert got == want, trial
         assert all(s is None or type(s) is frozenset for s in got)
 
 
