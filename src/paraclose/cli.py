@@ -10,40 +10,61 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
-from fractions import Fraction
 from itertools import chain
 from json.decoder import WHITESPACE
 
+from . import _lazy
 from .errors import InputFormatError, ParacloseError, StructureError
-from .generate import (
-    random_incidence_graph,
-    random_semiorder,
-    random_sp_tree,
-    random_tree_order,
-    random_treewidth_poset,
-    random_width2_poset,
-)
-from .parametric import (
-    Piece,
-    maximize_quasiconvex,
-    objective,
-    profile,
-    profile_to_json,
-    rat,
-    rat_str,
-)
 from .gcpause import gc_paused
-from .polygon import Polygon, _is_int_pair
-from .poset import Poset, brute_polygon, incidence_poset
-from .semiorder import Semiorder, solve_semiorder
-from .series_parallel import parse_sp, solve_sp, sp_to_poset, sp_tree_to_json, tree_to_sp
-from .svg import polygon_svg, profile_svg
-from .treewidth import TreeDecomposition, solve_treewidth
-from .width2 import solve_width2
-from .witness import expand_all
+
+# The names the subcommands take from the rest of the package, by module.
+# A CLI run imports only the modules its subcommand binds (see _bind), so a
+# process compiles none of the others. The names stay readable as cli
+# attributes, and a subcommand looks each one up at call time: a name
+# replaced on this module before run() is the one that runs.
+_HOMES = {
+    "generate": (
+        "random_incidence_graph",
+        "random_semiorder",
+        "random_sp_tree",
+        "random_tree_order",
+        "random_treewidth_poset",
+        "random_width2_poset",
+    ),
+    "parametric": (
+        "Piece",
+        "maximize_quasiconvex",
+        "objective",
+        "profile",
+        "profile_to_json",
+        "rat",
+        "rat_str",
+    ),
+    "polygon": ("Polygon", "_is_int_pair"),
+    "poset": ("Poset", "brute_polygon", "incidence_poset"),
+    "semiorder": ("Semiorder", "solve_semiorder"),
+    "series_parallel": ("parse_sp", "solve_sp", "sp_to_poset", "sp_tree_to_json", "tree_to_sp"),
+    "svg": ("polygon_svg", "profile_svg"),
+    "treewidth": ("TreeDecomposition", "solve_treewidth"),
+    "width2": ("solve_width2",),
+    "witness": ("expand_all",),
+}
+
+__getattr__ = _lazy(globals(), _HOMES)
+
+
+def _bind(*modules):
+    """Import the given modules of the package and store the names this
+    module takes from them in its globals, where a subcommand's global
+    lookups find them (they do not reach __getattr__). A name set already,
+    by an earlier run or by a caller that replaced it, is kept."""
+    names = globals()
+    for mod in modules:
+        for name in _HOMES[mod]:
+            if name not in names:
+                __getattr__(name)
 
 
 class _OracleMismatch(Exception):
@@ -263,6 +284,7 @@ def _check_oracle(args, n, build_poset, got):
     if n > args.oracle_limit:
         print(f"oracle: SKIPPED (n={n} above limit {args.oracle_limit})", file=sys.stderr)
         return
+    _bind("poset")
     want = brute_polygon(build_poset(), limit=args.oracle_limit, track=False)
     if want.vertices == got.vertices:
         print("oracle: MATCH", file=sys.stderr)
@@ -285,6 +307,7 @@ def _polygon_out(args, n, build_poset, poly):
 
 
 def _cmd_oracle(args):
+    _bind("poset")
     poset = Poset.from_json(_load(args.input))
     poly = brute_polygon(poset, limit=args.oracle_limit, track=not args.no_witness)
     _emit_json(args, poly.to_json())
@@ -292,6 +315,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_semiorder(args):
+    _bind("semiorder")
     s = Semiorder.from_json(_load(args.input))
     poly = solve_semiorder(s, track=not args.no_witness)
     _polygon_out(args, len(s), s.to_poset, poly)
@@ -299,18 +323,23 @@ def _cmd_semiorder(args):
 
 
 def _cmd_sp(args):
-    data = _load(args.input)
-    if isinstance(data, dict) and "root" in data:
-        t = tree_to_sp(data)
-    else:
-        t = parse_sp(data)
-    del data  # the parsed input is not needed through the solve
+    _bind("series_parallel")
+    # reading the input and building its tree allocate only live, acyclic
+    # objects; the parsed input is not needed through the solve
+    with gc_paused():
+        data = _load(args.input)
+        if isinstance(data, dict) and "root" in data:
+            t = tree_to_sp(data)
+        else:
+            t = parse_sp(data)
+        del data
     poly = solve_sp(t, track=not args.no_witness)
     _polygon_out(args, t.count, lambda: sp_to_poset(t), poly)
     return 0
 
 
 def _cmd_treewidth(args):
+    _bind("poset", "treewidth")
     poset = Poset.from_json(_load(args.input))
     decomp = None
     if args.decomposition:
@@ -321,6 +350,7 @@ def _cmd_treewidth(args):
 
 
 def _cmd_width2(args):
+    _bind("poset", "width2")
     poset = Poset.from_json(_load(args.input))
     try:
         poly = solve_width2(poset, track=not args.no_witness)
@@ -333,18 +363,23 @@ def _cmd_width2(args):
 
 
 def _cmd_incidence(args):
+    _bind("poset")
     poset = incidence_poset(_load(args.input))
     _emit_json(args, poset.to_json())
     return 0
 
 
 def _cmd_profile(args):
+    _bind("polygon", "parametric")
     poly = Polygon.from_json(_load(args.input))
     _emit_json(args, profile_to_json(profile(poly)))
     return 0
 
 
 def _cmd_optimize(args):
+    from fractions import Fraction
+
+    _bind("polygon", "parametric", "witness")
     poly = Polygon.from_json(_load(args.input))
     value, vertex, wit = maximize_quasiconvex(poly, objective(args.objective))
     out = {"value": rat_str(Fraction(value)), "vertex": list(vertex)}
@@ -369,6 +404,14 @@ _GEN = {
 
 
 def _cmd_gen(args):
+    import random
+
+    for flag, value, least in (
+        ("--n", args.n, 1), ("--span", args.span, 0), ("--width", args.width, 0),
+    ):
+        if value < least:
+            raise InputFormatError(f"{flag} must be at least {least}, got {value}")
+    _bind("generate", "series_parallel")
     rng = random.Random(args.seed)
     _emit_json(args, _GEN[args.klass](rng, args))
     return 0
@@ -396,6 +439,7 @@ def _read_pieces(pieces):
 
 
 def _cmd_plot(args):
+    _bind("parametric", "polygon", "poset", "svg")
     data = _load(args.input)
     if isinstance(data, dict) and "pieces" in data:
         text = profile_svg(_read_pieces(data["pieces"]))

@@ -80,6 +80,28 @@ def test_gen_is_deterministic(capsys):
     assert out1 != out3
 
 
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(("--class", "sp", "--n", "0"), "--n", id="sp-n-0"),
+    pytest.param(("--class", "width2", "--n", "-3"), "--n", id="width2-n-below-0"),
+    *(
+        pytest.param(("--class", k, "--n", "4", "--span", "-1"), "--span", id=f"{k}-span-below-0")
+        for k in sorted(cli._GEN)
+    ),
+    pytest.param(("--class", "treewidth", "--n", "5", "--width", "-1"), "--width",
+                 id="treewidth-width-below-0"),
+])
+def test_gen_refuses_bad_sizes(capsys, argv, flag):
+    rc, out, err = _run(capsys, "gen", *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {flag} must be at least")
+
+
+@pytest.mark.parametrize("klass", sorted(cli._GEN))
+def test_gen_takes_the_least_sizes(capsys, klass):
+    rc, out, _ = _run(capsys, "gen", "--class", klass, "--n", "1", "--span", "0", "--width", "0")
+    assert rc == 0 and json.loads(out)
+
+
 def test_semiorder_check_oracle(tmp_path, capsys):
     rc, out, _ = _run(capsys, "gen", "--class", "semiorder", "--n", "7", "--seed", "2")
     assert rc == 0
@@ -619,3 +641,107 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, sub, payload, decom
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _fresh(tmp_path, script, *argv):
+    """The stdout of script run in a fresh interpreter with argv, where
+    every paraclose module must be imported anew."""
+    env = dict(os.environ, PYTHONPATH=str(Path(paraclose.__file__).resolve().parents[1]))
+    p = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert p.returncode == 0, p.stderr
+    return p.stdout
+
+
+_RUN_AND_LIST_MODULES = """
+import sys
+from paraclose import cli
+assert cli.run(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules if m.startswith("paraclose")))
+"""
+
+# the paraclose modules a CLI run imports by subcommand, besides the
+# package, cli and the two cli needs itself (errors, gcpause)
+_LOADS = {
+    "width2": "polygon poset width2 witness",
+    "semiorder": "parametric polygon poset semiorder splay witness",
+    "sp": "polygon poset series_parallel splay witness",
+    "treewidth": "polygon poset treewidth witness",
+    "oracle": "polygon poset witness",
+    "incidence": "polygon poset witness",
+    "profile": "parametric polygon witness",
+    "optimize": "parametric polygon witness",
+    "plot": "parametric polygon poset svg witness",
+    "gen": "generate parametric polygon poset series_parallel splay witness",
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_LOADS))
+def test_run_imports_only_its_subcommands_modules(tmp_path, capsys, sub):
+    # in a fresh interpreter, so that no earlier run has imported anything
+    if sub == "gen":
+        argv = ["gen", "--class", "sp", "--n", "5"]
+    elif sub in ("profile", "optimize", "plot"):
+        argv = [sub, _write(tmp_path, "poly.json", brute_polygon(Poset.from_json(POSET)).to_json())]
+    else:
+        klass = {"oracle": "width2"}.get(sub, sub)
+        _, out, _ = _run(capsys, "gen", "--class", klass, "--n", "8", "--seed", "1")
+        argv = [sub, _write(tmp_path, "in.json", json.loads(out))]
+        if sub != "incidence":
+            argv.append("--check-oracle" if sub != "oracle" else "--no-witness")
+    argv += ["--out", str(tmp_path / "out")]
+    loaded = _fresh(tmp_path, _RUN_AND_LIST_MODULES, *argv).split()
+    want = ["paraclose", "cli", "errors", "gcpause", *_LOADS[sub].split()]
+    assert loaded == sorted(m if m == "paraclose" else f"paraclose.{m}" for m in want)
+
+
+def test_package_names_resolve_on_first_read(tmp_path):
+    # a bare import loads no submodule, and each cli name the benchmark
+    # wraps or replaces reads as a cli attribute before any run
+    got = _fresh(tmp_path, """
+import sys
+import paraclose
+print(*sorted(m for m in sys.modules if m.startswith("paraclose")))
+from paraclose import cli
+for name in sys.argv[1:]:
+    assert callable(getattr(cli, name)), name
+""", "_load", "_emit_json", "parse_sp", "tree_to_sp", "solve_sp", "solve_semiorder",
+        "solve_width2", "profile", "profile_to_json")
+    assert got.split() == ["paraclose"]
+    for name in paraclose.__all__:
+        assert getattr(paraclose, name) is not None
+        assert name in dir(paraclose)
+    assert paraclose.solve_sp is paraclose.series_parallel.solve_sp
+    star = {}
+    exec("from paraclose import *", star)
+    assert set(star) - {"__builtins__"} == set(paraclose.__all__)
+    for module in (paraclose, cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+
+@pytest.mark.parametrize("sub, name", [("sp", "solve_sp"), ("semiorder", "solve_semiorder")])
+def test_solver_replaced_on_cli_is_the_one_called(tmp_path, capsys, monkeypatch, sub, name):
+    _, out, _ = _run(capsys, "gen", "--class", sub, "--n", "5", "--seed", "1")
+    path = _write(tmp_path, "in.json", json.loads(out))
+    calls = []
+    monkeypatch.setattr(cli, name, lambda inst, track=True: calls.append(track) or point((9, 9)))
+    rc, out, _ = _run(capsys, sub, path, "--no-witness")
+    assert rc == 0 and calls == [False]
+    assert json.loads(out)["vertices"] == [[9, 9]]
+
+
+def test_sp_builds_its_tree_with_gc_paused(tmp_path, capsys, monkeypatch):
+    enabled = []
+    for name in ("parse_sp", "tree_to_sp"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda data, build=build: enabled.append(gc.isenabled()) or build(data)
+        )
+    for klass in ("sp", "tree"):
+        _, out, _ = _run(capsys, "gen", "--class", klass, "--n", "6", "--seed", "2")
+        rc, _, _ = _run(capsys, "sp", _write(tmp_path, f"{klass}.json", json.loads(out)))
+        assert rc == 0
+    assert enabled == [False, False] and gc.isenabled()
