@@ -87,9 +87,7 @@ def _load(path):
     except OSError as e:
         raise InputFormatError(f"cannot read {path}: {e}") from None
     try:
-        # the parse allocates only live containers, never cycles
-        with gc_paused():
-            return _JSONReader(text).decode()
+        return _JSONReader(text).decode()
     except json.JSONDecodeError as e:
         raise InputFormatError(f"{path}: not valid JSON: {e}") from None
     except RecursionError:
@@ -324,15 +322,12 @@ def _cmd_semiorder(args):
 
 def _cmd_sp(args):
     _bind("series_parallel")
-    # reading the input and building its tree allocate only live, acyclic
-    # objects; the parsed input is not needed through the solve
-    with gc_paused():
-        data = _load(args.input)
-        if isinstance(data, dict) and "root" in data:
-            t = tree_to_sp(data)
-        else:
-            t = parse_sp(data)
-        del data
+    data = _load(args.input)
+    if isinstance(data, dict) and "root" in data:
+        t = tree_to_sp(data)
+    else:
+        t = parse_sp(data)
+    del data  # not needed through the solve
     poly = solve_sp(t, track=not args.no_witness)
     _polygon_out(args, t.count, lambda: sp_to_poset(t), poly)
     return 0
@@ -516,7 +511,11 @@ def _build_parser():
 def run(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        # what a run allocates (parsed input, instance, polygons, payload)
+        # mostly stays alive until it ends, so automatic collections would
+        # rescan it and free little
+        with gc_paused():
+            return args.fn(args)
     except _OracleMismatch as e:
         print(str(e), file=sys.stderr)
         return 2

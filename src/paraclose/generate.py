@@ -9,6 +9,7 @@ object; serialize with sp_tree_to_json).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .parametric import rat_str
 from .series_parallel import PARALLEL, SERIES, SPTree, leaf
@@ -107,11 +108,14 @@ def random_treewidth_poset(rng, n, width=3, span=9):
 
 
 def random_incidence_graph(rng, nv, ne, span=9):
+    """Simple graph on nv vertices with ne distinct random edges. The edges
+    are ne distinct indices drawn from the nv(nv-1)/2 vertex pairs, so memory
+    stays linear in nv + ne; index t is the pair (i, j), i < j, with
+    t = j(j-1)/2 + i."""
     vertices = [{"id": f"v{i}", "weight": _w(rng, span)} for i in range(nv)]
-    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-    rng.shuffle(pairs)
-    edges = [
-        {"id": f"e{k}", "ends": [f"v{i}", f"v{j}"], "weight": _w(rng, span)}
-        for k, (i, j) in enumerate(pairs[:ne])
-    ]
+    edges = []
+    for k, t in enumerate(rng.sample(range(nv * (nv - 1) // 2), ne)):
+        j = (1 + isqrt(8 * t + 1)) // 2
+        i = t - j * (j - 1) // 2
+        edges.append({"id": f"e{k}", "ends": [f"v{i}", f"v{j}"], "weight": _w(rng, span)})
     return {"vertices": vertices, "edges": edges}

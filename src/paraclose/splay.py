@@ -31,17 +31,13 @@ dies: a walk over its nodes clears their parent pointers, so reference
 counting frees the tree at once. Nothing the engine leaves behind needs the
 cyclic GC. The walk costs what building or inserting those nodes cost.
 
-Witnesses are carried as lazily pushed tags. A tag is (acc, cur, ep, rep):
-acc is settled, cur is the pairing handle of merge epoch ep, and rep is the
-oldest epoch folded in. Delivering the tag replaces a target cur of epoch
-rep outright and settles an older one into acc. This is what makes sum
-merges work: a vertex re-paired with a later small-chain vertex must drop
-the earlier pairing, even when newer tags pile up on top before the pending
-one reaches it. Epochs come from a counter on each engine, one per tagging
-operation. Tags are only ever compared inside one tree's lineage: a merge
-reads the smaller side out as plain handles and keeps tagging the larger
-tree with the larger tree's counter, so an incoming tag is never older than
-a stored one.
+Witnesses are carried as lazily pushed tags, and a tag is a plain witness
+handle: delivering it unions it into a node's witness and into the tag the
+node owes its children. Unions commute, so tags compose in any order. This
+holds for sum merges too, because a sum merge tags each pairing range once:
+every big-chain vertex pairs with exactly one small-chain vertex, and the
+vertices that pair with one small vertex form one contiguous range, known
+once the slope searches of the edges on both sides of it are done.
 
 The module-level rotation counter feeds the performance checks; every single
 rotation counts once, added up per splay.
@@ -71,59 +67,35 @@ class _Node:
         "par", "left", "right",
         "dx", "dy",          # position relative to parent; absolute at root
         "ex", "ey",          # edge vector to in-order successor; ex None at the last node
-        "base",              # own witness handle
-        "tacc", "tcur", "tep",        # tag applied to this vertex
-        "pacc", "pcur", "pep", "prep",  # tag owed to the children
+        "wit",               # witness handle, every tag delivered here folded in
+        "owed",              # tag owed to the children
     )
 
-    def __init__(self, dx, dy, base=None):
+    def __init__(self, dx, dy, wit=None):
         self.par = self.left = self.right = None
         self.dx = dx
         self.dy = dy
         self.ex = None
         self.ey = 0
-        self.base = base
-        self.tacc = self.tcur = None
-        self.tep = -1
-        self.pacc = self.pcur = None
-        self.pep = self.prep = -1
+        self.wit = wit
+        self.owed = None
 
 
-def _tag(n, acc, cur, ep, rep):
-    """Apply a tag to a subtree root: fold into the node's own state and
-    compose onto the tag owed to its children. A stored cur of epoch rep is
-    replaced, an older one is settled into acc. Everything below the node
-    carries an epoch <= rep, so composition keeps the stored rep."""
-    if n.tep == rep:
-        n.tacc = wunion(n.tacc, acc)
-    else:
-        n.tacc = wunion(wunion(n.tacc, n.tcur), acc)
-    n.tcur = cur
-    n.tep = ep
-    if n.pep < 0:
-        n.pacc, n.pcur, n.pep, n.prep = acc, cur, ep, rep
-    else:
-        if n.pep == rep:
-            n.pacc = wunion(n.pacc, acc)
-        else:
-            n.pacc = wunion(wunion(n.pacc, n.pcur), acc)
-        n.pcur, n.pep = cur, ep
+def _tag(n, t):
+    """Union the witness handle t into every vertex of the subtree at n: into
+    n's own witness now, and into the tag owed to its children."""
+    n.wit = wunion(n.wit, t)
+    n.owed = wunion(n.owed, t)
 
 
 def _push(n):
-    if n.pep >= 0:
-        l, r = n.left, n.right
-        if l is not None:
-            _tag(l, n.pacc, n.pcur, n.pep, n.prep)
-        if r is not None:
-            _tag(r, n.pacc, n.pcur, n.pep, n.prep)
-        n.pacc = n.pcur = None
-        n.pep = n.prep = -1
-
-
-def _handle(n):
-    """Effective witness handle of a vertex (base plus settled and live tag)."""
-    return wunion(n.base, wunion(n.tacc, n.tcur))
+    t = n.owed
+    if t is not None:
+        if n.left is not None:
+            _tag(n.left, t)
+        if n.right is not None:
+            _tag(n.right, t)
+        n.owed = None
 
 
 def _rotate(x):
@@ -195,8 +167,8 @@ def _build(items, lo, hi, pax, pay, par):
     if lo >= hi:
         return None
     mid = (lo + hi) // 2
-    (x, y), base = items[mid]
-    node = _Node(x - pax, y - pay, base)
+    (x, y), wit = items[mid]
+    node = _Node(x - pax, y - pay, wit)
     node.par = par
     if mid + 1 < len(items):
         nx, ny = items[mid + 1][0]
@@ -244,7 +216,7 @@ def _chain_list(ch):
             ax, ay = x, y
             n = n.left
         n, x, y = stack.pop()
-        out.append(((x, y), _handle(n)))
+        out.append(((x, y), n.wit))
         ax, ay = x, y
         n = n.right
     return out
@@ -254,14 +226,13 @@ class SplayPolygon:
     """Mutable polygon with splay-tree chains. Create via from_polygon;
     combine_any and settle consume it."""
 
-    __slots__ = ("lo", "up", "track", "dead", "epoch")
+    __slots__ = ("lo", "up", "track", "dead")
 
     def __init__(self, lo, up, track):
         self.lo = lo
         self.up = up
         self.track = track
         self.dead = False
-        self.epoch = 0  # last tagging epoch used on these trees
 
     @classmethod
     def from_polygon(cls, poly: Polygon):
@@ -304,10 +275,8 @@ class SplayPolygon:
             return self
         dx, dy = d
         if self.track and tag is not None:
-            self.epoch += 1
-            ep = self.epoch
-            _tag(self.lo.root, tag, None, ep, ep)
-            _tag(self.up.root, tag, None, ep, ep)
+            _tag(self.lo.root, tag)
+            _tag(self.up.root, tag)
         for ch in (self.lo, self.up):
             ch.root.dx += dx
             ch.root.dy += dy
@@ -341,48 +310,63 @@ def _find_slope(ch, dx, dy, sign):
     return best
 
 
-def _mink_chain(ch, small, sign, ep, track):
+def _mink_chain(ch, small, sign, track):
     """Fold the edges of a small chain into a big one, in slope order.
-    small: lex-sorted (point, handle) pairs of the same side."""
+    small: lex-sorted (point, handle) pairs of the same side.
+
+    Small edge j, from small vertex j-1 to j, goes in after u_j, the node
+    _find_slope returns for it. Small vertex j-1 pairs with the big vertices
+    after u_{j-1} up to and including u_j (all up to u_1 for j = 1), and
+    the last small vertex with all after the last u. With track on, each
+    range is tagged once, at the step that finds its last vertex u_j."""
     (px, py), sh = small[0]
     root = ch.root
-    if track:
-        _tag(root, None, sh, ep, ep)
     root.dx += px
     root.dy += py
+    prev = None
     for j in range(1, len(small)):
         (vx, vy), vh = small[j]
         dx, dy = vx - px, vy - py
         px, py = vx, vy
         u = _find_slope(ch, dx, dy, sign)
+        h = u.wit  # big-side witness, not yet paired in this merge
+        if track:
+            if prev is None:
+                gap = u.left
+            else:
+                # prev was the root when _find_slope set out for u, which
+                # comes after it, so the path from u down to prev is made of
+                # nodes on that search's access path: all pushed, and none
+                # tagged since
+                _splay(ch, prev, until=u)
+                gap = prev.right
+            if gap is not None:
+                _tag(gap, sh)
+            u.wit = wunion(h, sh)
         r = u.right
         if u.ex is not None and sign * (u.ex * dy - u.ey * dx) == 0:
-            # parallel edges fuse; everything after shifts and re-pairs
+            # parallel edges fuse; everything after shifts
             u.ex += dx
             u.ey += dy
             r.dx += dx
             r.dy += dy
-            if track:
-                _tag(r, None, vh, ep, ep)
         else:
-            w = _Node(dx, dy)
-            if track:
-                # inherit only the big-side witness; the pairing handle goes
-                # in the tag slot so a later extension at w does not bake it in
-                w.base = wunion(u.base, u.tacc)
-                w.tcur = vh
-                w.tep = ep
+            w = _Node(dx, dy, h)
             w.ex, w.ey = u.ex, u.ey
             u.ex, u.ey = dx, dy
             w.right = r
             if r is not None:
                 # r's new parent sits exactly d above u, so r.dx/dy stand
                 r.par = w
-                if track:
-                    _tag(r, None, vh, ep, ep)
             w.par = u
             u.right = w
             ch.n += 1
+        sh = vh
+        prev = u
+    if track:
+        rest = ch.root if prev is None else prev.right
+        if rest is not None:
+            _tag(rest, sh)
 
 
 def _first(n, ax, ay, hit):
@@ -518,10 +502,8 @@ def _sum_into(a, lo, up, track):
     """Minkowski sum of engine a and the polygon with lex-sorted (point,
     handle) chains lo and up, in place: costs O(log |a|) per edge of the
     added polygon. Returns a."""
-    a.epoch += 1
-    ep = a.epoch
-    _mink_chain(a.lo, lo, 1, ep, track)
-    _mink_chain(a.up, up, -1, ep, track)
+    _mink_chain(a.lo, lo, 1, track)
+    _mink_chain(a.up, up, -1, track)
     a.track = track
     return a
 

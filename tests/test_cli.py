@@ -608,6 +608,29 @@ def test_load_leaves_gc_state_as_found(tmp_path, enabled):
         (gc.enable if was else gc.disable)()
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_gc_and_leaves_it_as_found(tmp_path, capsys, monkeypatch, enabled):
+    # one pause covers the whole subcommand, read and solve alike, and is
+    # lifted on success and on bad input alike
+    seen = []
+    load = cli._load
+    monkeypatch.setattr(cli, "_load", lambda path: seen.append(gc.isenabled()) or load(path))
+    bad = tmp_path / "bad.json"
+    bad.write_text("[")
+    good = _write(tmp_path, "good.json", POSET)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in ((("oracle", good), 0), (("width2", good), 0),
+                           (("oracle", str(bad)), 1)):
+            rc, _, _ = _run(capsys, *argv)
+            assert rc == code, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False, False]
+
+
 _DECOMP_POSET = {"elements": [{"id": "a", "weight": [1, 0]}], "relations": []}
 
 

@@ -205,6 +205,37 @@ def test_incidence_poset():
         incidence_poset({"vertices": [{"id": "u"}], "edges": [{"ends": ["u", "zz"]}]})
 
 
+def test_random_incidence_graph_memory_is_linear():
+    # listing all nv(nv-1)/2 pairs at nv = 2000 takes about 2M tuples, well
+    # over 100 MB; drawing ne pair indices keeps the peak near the output
+    import tracemalloc
+
+    from paraclose.generate import random_incidence_graph
+
+    nv, ne = 2000, 4000
+    tracemalloc.start()
+    try:
+        g = random_incidence_graph(random.Random(1), nv, ne)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert [v["id"] for v in g["vertices"]] == [f"v{i}" for i in range(nv)]
+    ends = [tuple(int(x[1:]) for x in e["ends"]) for e in g["edges"]]
+    assert len(ends) == ne and len(set(ends)) == ne
+    assert all(0 <= i < j < nv for i, j in ends)
+    assert [e["id"] for e in g["edges"]] == [f"e{k}" for k in range(ne)]
+
+
+def test_random_incidence_graph_decodes_every_pair():
+    from paraclose.generate import random_incidence_graph
+
+    for nv in (2, 3, 4, 9):
+        g = random_incidence_graph(random.Random(nv), nv, nv * (nv - 1) // 2)
+        ends = sorted(tuple(int(x[1:]) for x in e["ends"]) for e in g["edges"])
+        assert ends == list(combinations(range(nv), 2))
+
+
 def test_json_roundtrip():
     p = n_poset()
     q = Poset.from_json(p.to_json())

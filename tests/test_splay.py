@@ -149,9 +149,66 @@ def test_pair_witnesses_through_sum():
             assert (pw[a][0] + qw[b][0], pw[a][1] + qw[b][1]) == v
 
 
+def _labelled(pts, label):
+    """Polygon with exactly the vertices pts, one witness leaf each."""
+    poly = hull_of_points(pts, [wleaf({(label, i)}) for i in range(len(pts))])
+    assert len(poly) == len(pts)
+    return poly
+
+
+# A sum merge inserts small edge j after u_j and pairs small vertex j with
+# the big vertices after u_j up to and including u_{j+1}. These cases put
+# those range ends where an off-by-one would show.
+_RANGE_CASES = {
+    # Big lower chain slopes -3, -1, -1/3, 0, 3, 10 and upper 11, 1, -7/8;
+    # the small lower slopes 1/4, 1, 2 and upper 5/6, 3/4, 1/2 all fall in
+    # one gap of each, so every u_{j+1} is the node inserted just before.
+    "one-gap": (
+        [(0, 9), (1, 6), (3, 4), (6, 3), (10, 3), (11, 6), (12, 16), (1, 20), (4, 23)],
+        [(0, 0), (8, 2), (12, 6), (14, 10), (10, 8), (6, 5)],
+    ),
+    # An octagon of horizontal, vertical and diagonal edges. The first and
+    # last small edges of each chain fuse with parallel big edges: the
+    # vertical first upper edge with the big's first (so u_1 is its first
+    # vertex), the vertical last lower edge with the big's last.
+    "fused-ends": (
+        [(2, 0), (6, 0), (8, 2), (8, 6), (6, 8), (2, 8), (0, 6), (0, 2)],
+        [(0, 0), (3, 0), (5, 1), (5, 3), (1, 3), (0, 1)],
+    ),
+    # a single point: its one vertex pairs with the whole chain
+    "point": (
+        [(2, 0), (6, 0), (8, 2), (8, 6), (6, 8), (2, 8), (0, 6), (0, 2)],
+        [(5, -3)],
+    ),
+}
+
+
+@pytest.mark.usefixtures("engine_path")
+@pytest.mark.parametrize("case", sorted(_RANGE_CASES))
+def test_sum_pairing_ranges(case):
+    big_pts, small_pts = _RANGE_CASES[case]
+    big, small = _labelled(big_pts, "B"), _labelled(small_pts, "S")
+    want = minkowski_sum(big, small)
+    for got in (msum(eng(big), small), msum(small, eng(big)),
+                msum(eng(big), eng(small))):
+        got = settle(got)
+        assert got == want
+        assert got.witness_sets() == want.witness_sets()
+    # the same merge onto a tree that carries a pending tag, and again on
+    # its result, so a second merge re-splits ranges of the first
+    tag = wleaf({"t"})
+    ref = minkowski_sum(big.translate((1, -2), tag), small)
+    e = msum(eng(big).translate((1, -2), tag), small)
+    again = _labelled([(x + 40, y) for x, y in small_pts], "R")
+    got = settle(msum(e, again))
+    ref = minkowski_sum(ref, again)
+    assert got == ref
+    assert got.witness_sets() == ref.witness_sets()
+
+
 @pytest.mark.usefixtures("engine_path")
 def test_sum_then_translate_then_union_witnesses():
-    # exercise epoch folding: pair tags must settle when a newer tag arrives
+    # a translate tag lands on a tree whose pairing tags are still pending
     rng = random.Random(17)
     for _ in range(100):
         p = random_polygon(rng, kmax=10, label="P")
@@ -193,10 +250,10 @@ def test_union_with_empty_engine_keeps_witnesses():
 
 
 @pytest.mark.usefixtures("engine_path")
-def test_independent_engines_keep_their_own_epochs():
-    # Two engines tagged and summed independently count epochs from the
-    # same start, so their stored epochs overlap; merging them and tagging
-    # the result further must still match the kernel's witnesses exactly.
+def test_independent_engines_merge_and_keep_tagging():
+    # Two engines tagged and summed independently, each with tags still
+    # pending, are summed into one that is tagged and summed further; its
+    # witnesses must still match the kernel's exactly.
     rng = random.Random(29)
 
     def grow(e, ref, steps, label):
